@@ -583,20 +583,18 @@ pub fn boundary_equivalence(opts: &Opts) -> bool {
 /// Shard-merge equivalence (beyond the paper; ROADMAP "Sharding/scale"):
 /// mines the energy demo once unsharded and once cut into K ∈ {1, 2, 4}
 /// time-range shards with `t_ov = t_max` under `TrueExtent`, each shard
-/// converting and mining its own slice, merged through the deduplicating
-/// [`ftpm_core::ShardMerge`]. The merged output must equal the unsharded
-/// baseline *exactly* — same pattern labels, supports, confidences and
-/// clipped-occurrence counts. Writes
-/// `results/shard_equivalence.{csv,json}` and returns whether the K = 4
-/// run matched (the CI gate).
+/// converting and mining its own slice through the candidate exchange,
+/// merged through the deduplicating [`ftpm_core::ShardMerge`]. The
+/// merged output must equal the unsharded baseline *exactly* — same
+/// pattern labels, supports, confidences and clipped-occurrence counts.
+/// Writes `results/shard_equivalence.{csv,json}` and returns whether the
+/// K = 4 run matched (the CI gate).
 pub fn shard_equivalence(opts: &Opts) -> bool {
     use std::collections::HashMap;
 
-    use ftpm_core::mine_sharded;
+    use ftpm_core::mine_sharded_exchange;
     use ftpm_events::{BoundaryPolicy, EventRegistry, RelationConfig};
 
-    // A handful of appliances keeps support-complete per-shard mining
-    // (absolute support 1 — the price of an exact merge) fast.
     let data = nist_like(opts.scale).project_variables(8);
     let t_max = 3 * 60;
     let cfg = MinerConfig::new(0.25, 0.25)
@@ -648,8 +646,9 @@ pub fn shard_equivalence(opts: &Opts) -> bool {
     let mut json_rows = Vec::new();
     let mut k4_equal = false;
     for k in [1usize, 2, 4] {
-        let (sharded, elapsed) = time(|| {
-            mine_sharded(&data.syb, data.split, &cfg, k, 1).expect("valid shard geometry")
+        let ((sharded, _), elapsed) = time(|| {
+            mine_sharded_exchange(&data.syb, data.split, &cfg, k, 1)
+                .expect("valid shard geometry")
         });
         let merged_map = labelled(&sharded.result, &sharded.registry);
         let missing = base_map.keys().filter(|l| !merged_map.contains_key(*l)).count();
@@ -706,19 +705,18 @@ pub fn shard_equivalence(opts: &Opts) -> bool {
 }
 
 /// Candidate-exchange pruning (beyond the paper; ROADMAP
-/// "Sharding/scale"): mines the energy demo unsharded, sharded
-/// support-complete, and sharded through the two-phase candidate
-/// exchange, for K ∈ {2, 4}. The exchange must (a) reproduce the
-/// unsharded pattern set exactly and (b) generate *strictly fewer*
-/// candidates per shard than the support-complete path — the whole point
-/// of exchanging candidates is that the global σ/δ gate kills losers
-/// before the next level is enumerated anywhere. Writes
+/// "Sharding/scale"): mines the energy demo unsharded and sharded
+/// through the two-phase candidate exchange, for K ∈ {2, 4}. The
+/// exchange must (a) reproduce the unsharded pattern set exactly and (b)
+/// actually prune — Σ `candidates_pruned` > 0 at every K — because the
+/// whole point of exchanging candidates is that the global σ/δ gate
+/// kills losers before the next level is enumerated anywhere. Writes
 /// `results/exchange_pruning.{csv,json}` (per-shard candidate counts and
 /// wall times included) and returns whether both held (the CI gate).
 pub fn exchange_pruning(opts: &Opts) -> bool {
     use std::collections::HashMap;
 
-    use ftpm_core::{CollectSink, ShardPlanner, ShardReport};
+    use ftpm_core::{ShardPlanner, ShardReport};
     use ftpm_events::{BoundaryPolicy, EventRegistry, RelationConfig};
 
     let data = nist_like(opts.scale).project_variables(8);
@@ -795,66 +793,46 @@ pub fn exchange_pruning(opts: &Opts) -> bool {
         let plan = ShardPlanner::new(k)
             .plan(&data.syb, data.split, t_max)
             .expect("valid shard geometry");
-        let mut runs = Vec::new();
-        {
-            let mut sink = CollectSink::new();
-            let ((stats, reports), elapsed) =
-                time(|| plan.mine_into_reported(&cfg, 1, &mut sink));
-            runs.push(("support-complete", sink.into_result(stats), reports, elapsed));
-        }
-        let ((exchange_result, exchange_reports), elapsed) =
-            time(|| plan.mine_exchange(&cfg, 1));
-        runs.push(("exchange", exchange_result, exchange_reports, elapsed));
-
-        let candidates: HashMap<&str, usize> = runs
-            .iter()
-            .map(|(mode, _, reports, _)| {
-                (*mode, reports.iter().map(|r| r.candidates_proposed).sum())
-            })
-            .collect();
-        if candidates["exchange"] >= candidates["support-complete"] {
+        let ((result, reports), elapsed) = time(|| plan.mine_exchange(&cfg, 1));
+        let candidates: usize = reports.iter().map(|r| r.candidates_proposed).sum();
+        let pruned: usize = reports.iter().map(|r| r.candidates_pruned).sum();
+        if pruned == 0 {
             exchange_prunes = false;
         }
-        for (mode, result, reports, elapsed) in &runs {
-            let merged_map = labelled(result, plan.registry());
-            let missing = base_map.keys().filter(|l| !merged_map.contains_key(*l)).count();
-            let extra = merged_map.keys().filter(|l| !base_map.contains_key(*l)).count();
-            let stat_mismatches = base_map
-                .iter()
-                .filter(|(label, (supp, conf, clipped))| {
-                    merged_map.get(*label).is_some_and(|(s, c, cl)| {
-                        s != supp || (c - conf).abs() >= 1e-9 || cl != clipped
-                    })
+        let merged_map = labelled(&result, plan.registry());
+        let missing = base_map.keys().filter(|l| !merged_map.contains_key(*l)).count();
+        let extra = merged_map.keys().filter(|l| !base_map.contains_key(*l)).count();
+        let stat_mismatches = base_map
+            .iter()
+            .filter(|(label, (supp, conf, clipped))| {
+                merged_map.get(*label).is_some_and(|(s, c, cl)| {
+                    s != supp || (c - conf).abs() >= 1e-9 || cl != clipped
                 })
-                .count();
-            let equal = missing == 0 && extra == 0 && stat_mismatches == 0;
-            if *mode == "exchange" && !equal {
-                exchange_equal = false;
-            }
-            let pruned: usize = reports.iter().map(|r| r.candidates_pruned).sum();
-            report.row(vec![
-                k.to_string(),
-                (*mode).into(),
-                candidates[mode].to_string(),
-                pruned.to_string(),
-                result.len().to_string(),
-                missing.to_string(),
-                extra.to_string(),
-                secs(*elapsed),
-                equal.to_string(),
-            ]);
-            json_rows.push(format!(
-                "    {{\"shards\": {k}, \"mode\": \"{mode}\", \
-                 \"candidates_proposed\": {}, \"candidates_pruned\": {pruned}, \
-                 \"patterns\": {}, \"missing\": {missing}, \"extra\": {extra}, \
-                 \"stat_mismatches\": {stat_mismatches}, \"equal\": {equal}, \
-                 \"seconds\": {}, \"shard_reports\": [\n{}\n    ]}}",
-                candidates[mode],
-                result.len(),
-                elapsed.as_secs_f64(),
-                shard_rows_json(reports),
-            ));
-        }
+            })
+            .count();
+        let equal = missing == 0 && extra == 0 && stat_mismatches == 0;
+        exchange_equal &= equal;
+        report.row(vec![
+            k.to_string(),
+            "exchange".into(),
+            candidates.to_string(),
+            pruned.to_string(),
+            result.len().to_string(),
+            missing.to_string(),
+            extra.to_string(),
+            secs(elapsed),
+            equal.to_string(),
+        ]);
+        json_rows.push(format!(
+            "    {{\"shards\": {k}, \"mode\": \"exchange\", \
+             \"candidates_proposed\": {candidates}, \"candidates_pruned\": {pruned}, \
+             \"patterns\": {}, \"missing\": {missing}, \"extra\": {extra}, \
+             \"stat_mismatches\": {stat_mismatches}, \"equal\": {equal}, \
+             \"seconds\": {}, \"shard_reports\": [\n{}\n    ]}}",
+            result.len(),
+            elapsed.as_secs_f64(),
+            shard_rows_json(&reports),
+        ));
     }
     report.finish();
 
@@ -882,13 +860,13 @@ pub fn exchange_pruning(opts: &Opts) -> bool {
 
 /// A-HTPGM composition gate on the energy demo (beyond the paper;
 /// ROADMAP "One mining plan"): one correlation graph (density 0.8),
-/// every execution composition — parallel, sharded support-complete,
-/// sharded candidate-exchange, threads × shards — must reproduce the
-/// unsharded single-threaded `mine_approximate` pattern set exactly,
-/// and MI-at-propose must generate strictly fewer exchange candidates
-/// than the exact exchange it post-hoc-filters to. Writes
-/// `results/approx_composition.{csv,json}` and returns whether both the
-/// equality and the pruning held (the CI gate).
+/// every execution composition — parallel, sharded candidate-exchange,
+/// threads × shards — must reproduce the unsharded single-threaded
+/// `mine_approximate` pattern set exactly, and MI-at-propose must
+/// generate strictly fewer exchange candidates than the exact exchange
+/// it post-hoc-filters to. Writes `results/approx_composition.{csv,json}`
+/// and returns whether both the equality and the pruning held (the CI
+/// gate).
 pub fn approx_composition(opts: &Opts) -> bool {
     use std::collections::HashMap;
 
@@ -1014,22 +992,6 @@ pub fn approx_composition(opts: &Opts) -> bool {
     let plan = ShardPlanner::new(4)
         .plan(&data.syb, data.split, t_max)
         .expect("valid shard geometry");
-    {
-        let mut sink = CollectSink::new();
-        let ((stats, reports), elapsed) =
-            time(|| plan.mine_approximate_into(&graph, &cfg, 4, &mut sink));
-        let result = sink.into_result(stats);
-        let candidates = reports.iter().map(|r| r.candidates_proposed).sum();
-        approx_equal &= check(
-            "sharded support-complete",
-            4,
-            plan.shards().len(),
-            Some(candidates),
-            &result,
-            plan.registry(),
-            elapsed,
-        );
-    }
     let ((approx_result, approx_reports), elapsed) =
         time(|| plan.mine_approximate_exchange(&graph, &cfg, 4));
     let approx_candidates: usize =
@@ -1286,9 +1248,10 @@ pub fn kernel_speedup(opts: &Opts) -> bool {
 ///
 /// The A side survives only inside this benchmark — the miner cannot be
 /// toggled back — so the microbench carries the before/after story; the
-/// end-to-end rows pin the absolute exchange/merge wall clock CI tracks
-/// across runs. Timings are best-of-N minima (single shared CI core);
-/// allocation counts come from the tracking allocator and are exact.
+/// end-to-end row pins the absolute wall clock of one whole exchange run
+/// (`exchange_run_ms`) that CI tracks across runs. Timings are best-of-N
+/// minima (single shared CI core); allocation counts come from the
+/// tracking allocator and are exact.
 /// Writes `results/intern_speedup.{csv,json}` and returns whether the
 /// pooled path beat the pattern-keyed path ≥ 1.3× on accumulation wall
 /// time, or cut its allocation count ≥ 5× (the CI gate — the allocation
@@ -1390,34 +1353,25 @@ pub fn intern_speedup(opts: &Opts) -> bool {
         format!("{alloc_ratio:.1}x fewer"),
     ]);
 
-    // End to end: the exchange and support-complete sharded runs of the
-    // same demo — the two paths whose inner loops the pool rewired —
-    // plus the unsharded baseline for context. Absolute wall clock only;
-    // CI archives these run over run.
+    // End to end: one exchange run of the same demo — the path whose
+    // inner loop the pool rewired. Absolute wall clock of the whole run
+    // only; CI archives it run over run.
     let plan = ShardPlanner::new(4)
         .plan(&data.syb, data.split, cfg.relation.t_max)
         .expect("demo geometry shards cleanly");
-    let (exchange_out, exchange_wall) = time(|| plan.mine_exchange(&cfg, 1));
-    let (merged_out, merge_wall) = time(|| plan.mine(&cfg, 1));
+    let (exchange_out, exchange_run) = time(|| plan.mine_exchange(&cfg, 1));
     report.row(vec![
         "mine_exchange".into(),
         format!("{} windows, 4 shards", plan.n_windows()),
         "-".into(),
-        format!("{} s", secs(exchange_wall)),
-        "-".into(),
-    ]);
-    report.row(vec![
-        "mine_sharded".into(),
-        format!("{} windows, 4 shards", plan.n_windows()),
-        "-".into(),
-        format!("{} s", secs(merge_wall)),
+        format!("{} s", secs(exchange_run)),
         "-".into(),
     ]);
     report.finish();
     assert_eq!(
         exchange_out.0.len(),
-        merged_out.len(),
-        "exchange and support-complete merges must agree on the demo"
+        result.len(),
+        "the exchange must agree with the unsharded miner on the demo"
     );
 
     let ok = speedup >= 1.3 || alloc_ratio >= 5.0;
@@ -1429,13 +1383,12 @@ pub fn intern_speedup(opts: &Opts) -> bool {
          \"accumulate_speedup\": {speedup:.3},\n  \
          \"keyed_allocs\": {keyed_allocs},\n  \"pooled_allocs\": {pooled_allocs},\n  \
          \"alloc_ratio\": {alloc_ratio:.3},\n  \
-         \"exchange_wall_ms\": {:.3},\n  \"merge_wall_ms\": {:.3},\n  \
+         \"exchange_run_ms\": {:.3},\n  \
          \"intern_speedup_ok\": {ok}\n}}\n",
         data.name,
         opts.scale,
         patterns.len(),
-        exchange_wall.as_secs_f64() * 1e3,
-        merge_wall.as_secs_f64() * 1e3,
+        exchange_run.as_secs_f64() * 1e3,
     );
     let _ = std::fs::create_dir_all("results");
     match std::fs::write("results/intern_speedup.json", json) {

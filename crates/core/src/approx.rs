@@ -15,8 +15,7 @@
 //! a [`CorrelationFilter`] handed to the shared miners: this module is
 //! the *only* place filters are constructed (lint rule R6), and every
 //! execution axis — sequential/parallel via
-//! [`mine_approximate_graph_with_sink`], sharded support-complete and
-//! candidate-exchange via [`crate::ShardPlan::mine_approximate_into`] /
+//! [`mine_approximate_graph_with_sink`], sharded candidate-exchange via
 //! [`crate::ShardPlan::mine_approximate_exchange_into`] — consumes the
 //! identical gates, so every composition yields the same pattern set as
 //! plain [`mine_approximate`].
@@ -27,7 +26,7 @@ use ftpm_timeseries::{SymbolicDatabase, VariableId};
 
 use crate::candidates::CorrelationFilter;
 use crate::config::MinerConfig;
-use crate::parallel::mine_parallel_internal;
+use crate::parallel::mine_internal;
 use crate::result::{MiningResult, MiningStats};
 use crate::sink::{CollectSink, PatternSink};
 
@@ -170,7 +169,7 @@ pub fn mine_approximate_parallel_with_sink(
 
 /// The unsharded A-HTPGM primitive every entry point above reduces to:
 /// mines `seq_db` under a caller-built correlation graph, emitting into
-/// `sink` with `threads` workers (1 = the sequential miner). Build the
+/// `sink` with `threads` workers (1 runs inline, spawning nothing). Build the
 /// graph once — [`CorrelationGraph::build`] for a μ threshold,
 /// [`CorrelationGraph::build_with_density`] for the density
 /// parameterization — and reuse it across runs or pass it on to the
@@ -187,7 +186,7 @@ pub fn mine_approximate_graph_with_sink(
     sink: &mut (dyn PatternSink + Send),
 ) -> MiningStats {
     let filter = correlation_filter(graph, seq_db.registry());
-    mine_parallel_internal(seq_db, cfg, threads, Some(&filter), None, sink, None)
+    mine_internal(seq_db, cfg, threads, Some(&filter), sink, None)
 }
 
 /// Collecting driver behind the non-sink entry points.
@@ -268,7 +267,7 @@ pub fn mine_approximate_event_level(
             Box::new(|ei, ej| graph.has_edge(VariableId(ei.0), VariableId(ej.0))),
         );
         let mut sink = CollectSink::new();
-        let stats = mine_parallel_internal(seq_db, cfg, 1, Some(&filter), None, &mut sink, None);
+        let stats = mine_internal(seq_db, cfg, 1, Some(&filter), &mut sink, None);
         sink.into_result(stats)
     };
     outcome(result, graph)

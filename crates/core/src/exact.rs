@@ -14,9 +14,13 @@
 //! occurrence extension dies as soon as one of its new triples is not a
 //! frequent, high-confidence 2-event pattern (Lemmas 6–7).
 //!
-//! Candidate gating (the Apriori support/confidence bounds and the L2
-//! verification step) lives in [`crate::candidates`], shared with the
-//! parallel miner; output flows through a [`PatternSink`]
+//! L1, L2 and the scheduling of the growth below them run in
+//! [`crate::parallel`]'s one mining loop, which these entry points call
+//! at one thread. This module holds the per-node growth
+//! step that loop and the exchange executor share ([`grow_candidates`],
+//! [`extend_node`], [`GrowContext`], [`archive_node`]). Candidate gating
+//! (the Apriori support/confidence bounds and the L2 verification step)
+//! lives in [`crate::candidates`]; output flows through a [`PatternSink`]
 //! (see [`crate::sink`]) so finished nodes can be collected, counted or
 //! streamed without materializing a global pattern `Vec`.
 //!
@@ -30,15 +34,14 @@ use std::collections::HashMap;
 use std::marker::PhantomData;
 
 use ftpm_bitmap::Bitmap;
-use ftpm_events::{BoundaryKernel, BoundaryVisit, EventId, SequenceDatabase};
+use ftpm_events::{BoundaryKernel, EventId, SequenceDatabase};
 
-use crate::candidates::{
-    apriori_gate, passes_thresholds, CorrelationFilter, L2Engine, PairRelations, WorkNode,
-    WorkPattern,
-};
+use crate::candidates::{apriori_gate, passes_thresholds, PairRelations, WorkNode, WorkPattern};
 use crate::config::MinerConfig;
 use crate::index::DatabaseIndex;
 use crate::occ::OccArena;
+use crate::parallel::mine_internal;
+use crate::pool::{decode_column, pack_relation, PatternId};
 use crate::result::{FrequentPattern, MiningResult, MiningStats};
 use crate::sink::{CollectSink, PatternSink};
 
@@ -57,7 +60,7 @@ pub(crate) const MAX_EVENTS_HARD_CAP: usize = 32;
 /// See the crate-level example.
 pub fn mine_exact(db: &SequenceDatabase, cfg: &MinerConfig) -> MiningResult {
     let mut sink = CollectSink::new();
-    let stats = mine_internal(db, cfg, None, None, &mut sink);
+    let stats = mine_exact_with_sink(db, cfg, &mut sink);
     sink.into_result(stats)
 }
 
@@ -75,168 +78,15 @@ pub fn mine_exact(db: &SequenceDatabase, cfg: &MinerConfig) -> MiningResult {
 pub fn mine_exact_with_sink(
     db: &SequenceDatabase,
     cfg: &MinerConfig,
-    sink: &mut dyn PatternSink,
+    sink: &mut (dyn PatternSink + Send),
 ) -> MiningStats {
-    mine_internal(db, cfg, None, None, sink)
+    mine_internal(db, cfg, 1, None, sink, None)
 }
 
 /// Occurrence accumulator: supporting-sequence bitmap + bound tuples
 /// (a scratch struct-of-arrays arena, spliced into the child node's
 /// arena if the group survives the thresholds).
 type OccAccum = (Bitmap, OccArena);
-
-/// Records how many instances of `db` carry a window-boundary clip, and
-/// how many of those the active [`ftpm_events::BoundaryPolicy`] drops
-/// outright — the run-level observability half of the boundary-artifact
-/// story (the per-pattern half is `clipped_occurrences`).
-pub(crate) fn record_boundary_stats(
-    db: &SequenceDatabase,
-    cfg: &MinerConfig,
-    stats: &mut MiningStats,
-) {
-    let clipped = db
-        .sequences()
-        .iter()
-        .flat_map(|s| s.instances())
-        .filter(|i| i.is_clipped())
-        .count() as u64;
-    stats.clipped_instances = clipped;
-    stats.discarded_instances = match cfg.relation.boundary {
-        ftpm_events::BoundaryPolicy::Discard => clipped,
-        ftpm_events::BoundaryPolicy::Clip | ftpm_events::BoundaryPolicy::TrueExtent => 0,
-    };
-}
-
-use crate::pool::{decode_column, pack_relation, PatternId};
-
-/// `owned` is the shard-mining seam: when present, the index (and hence
-/// every bitmap, occurrence binding and support the miner derives from
-/// it) is restricted to the sequences whose mask entry is `true` — the
-/// windows this shard *owns* — so a downstream [`crate::ShardMerge`] can
-/// sum per-shard stats without double-counting the windows duplicated
-/// into neighbouring shards' overlap pads. The pad windows exist in `db`
-/// only for the conversion's run extents; pattern growth never crosses a
-/// window boundary, so masking them out of mining loses nothing and
-/// skips their (always-discarded) enumeration work entirely.
-pub(crate) fn mine_internal(
-    db: &SequenceDatabase,
-    cfg: &MinerConfig,
-    corr: Option<&CorrelationFilter<'_>>,
-    owned: Option<&[bool]>,
-    sink: &mut dyn PatternSink,
-) -> MiningStats {
-    // Monomorphization seam: fix the boundary kernel once per run, so
-    // every instance-level decision below compiles branch-free.
-    struct Run<'a, 'c> {
-        db: &'a SequenceDatabase,
-        cfg: &'a MinerConfig,
-        corr: Option<&'a CorrelationFilter<'c>>,
-        owned: Option<&'a [bool]>,
-        sink: &'a mut dyn PatternSink,
-    }
-    impl BoundaryVisit for Run<'_, '_> {
-        type Out = MiningStats;
-        fn visit<K: BoundaryKernel>(self) -> MiningStats {
-            mine_internal_k::<K>(self.db, self.cfg, self.corr, self.owned, self.sink)
-        }
-    }
-    cfg.relation.boundary.dispatch(Run {
-        db,
-        cfg,
-        corr,
-        owned,
-        sink,
-    })
-}
-
-/// [`mine_internal`], monomorphized over the boundary kernel.
-fn mine_internal_k<K: BoundaryKernel>(
-    db: &SequenceDatabase,
-    cfg: &MinerConfig,
-    corr: Option<&CorrelationFilter<'_>>,
-    owned: Option<&[bool]>,
-    sink: &mut dyn PatternSink,
-) -> MiningStats {
-    let n_seqs = db.len();
-    let sigma_abs = cfg.absolute_support(n_seqs);
-    let max_events = cfg.max_events.min(MAX_EVENTS_HARD_CAP);
-    let index = DatabaseIndex::build_masked(db, cfg.relation.boundary, owned);
-    let mut stats = MiningStats::default();
-    record_boundary_stats(db, cfg, &mut stats);
-    stats.nodes_verified.push(0);
-
-    // ---- L1: frequent single events (Alg. 1 lines 1–4) ----
-    let freq_events: Vec<EventId> = db
-        .registry()
-        .ids()
-        .filter(|&e| corr.is_none_or(|c| c.allows_event(e)))
-        .filter(|&e| index.support(e) >= sigma_abs)
-        .collect();
-    let l1: Vec<(EventId, usize)> = freq_events
-        .iter()
-        .map(|&e| (e, index.support(e)))
-        .collect();
-    sink.begin(&l1);
-
-    // ---- L2: frequent 2-event patterns (Alg. 1 lines 5–14) ----
-    let engine = L2Engine::<K> {
-        db,
-        index: &index,
-        cfg,
-        sigma_abs,
-        kernel: PhantomData,
-    };
-    let mut pair_relations = PairRelations::new(db.registry().len());
-    let mut level_nodes: Vec<WorkNode> = Vec::new();
-
-    for &ei in &freq_events {
-        for &ej in &freq_events {
-            if let Some(c) = corr {
-                if !c.allows_pair(ei, ej) {
-                    continue;
-                }
-            }
-            if let Some(node) = engine.try_pair(ei, ej, &mut stats) {
-                for p in &node.patterns {
-                    pair_relations.insert(ei, p.pattern.relations()[0], ej);
-                }
-                level_nodes.push(node);
-            }
-        }
-    }
-    stats.nodes_kept.push(level_nodes.len());
-    stats
-        .patterns_found
-        .push(level_nodes.iter().map(|n| n.patterns.len()).sum());
-
-    // ---- Lk (k >= 3): grow nodes (Alg. 1 lines 15–20) ----
-    // Each L2 node is grown to exhaustion depth-first. The level-wise
-    // semantics (k-event patterns derived from (k-1)-event patterns and
-    // the L1/L2 structures) are unchanged, but a node's occurrence
-    // bindings are released as soon as its subtree is done — this is
-    // what keeps HTPGM's memory footprint below the list-materializing
-    // baselines (Table VIII).
-    let db_has_clipped = stats.clipped_instances > 0;
-    let mut grow = GrowContext::<K> {
-        db,
-        cfg,
-        index: &index,
-        pair_relations: &pair_relations,
-        freq_events: &freq_events,
-        sigma_abs,
-        max_events,
-        stats: &mut stats,
-        sink,
-        db_has_clipped,
-        owned,
-        kernel: PhantomData,
-    };
-    for node in level_nodes {
-        grow.grow_node(node, 3);
-    }
-
-    stats
-}
 
 /// Step 3.2: extend each frequent pattern of `node` with one instance of
 /// `ek` that is chronologically last, verifying the new triples
@@ -470,9 +320,6 @@ pub(crate) struct GrowContext<'a, K: BoundaryKernel> {
     /// lets [`archive_node`] skip the per-occurrence artifact scan when
     /// every count would be 0.
     pub(crate) db_has_clipped: bool,
-    /// Shard ownership mask (see [`mine_internal`]); `None` outside
-    /// sharded runs.
-    pub(crate) owned: Option<&'a [bool]>,
     /// The monomorphized boundary kernel (fixed at dispatch).
     pub(crate) kernel: PhantomData<K>,
 }
@@ -483,7 +330,7 @@ impl<K: BoundaryKernel> GrowContext<'_, K> {
     /// bindings die when this frame returns.
     pub(crate) fn grow_node(&mut self, node: WorkNode, k: usize) {
         if k > self.max_events {
-            archive_node(self.sink, self.db, self.db_has_clipped, self.owned, node, k - 1);
+            archive_node(self.sink, self.db, self.db_has_clipped, node, k - 1);
             return;
         }
         while self.stats.nodes_verified.len() < k - 1 {
@@ -504,7 +351,7 @@ impl<K: BoundaryKernel> GrowContext<'_, K> {
         );
         // The parent's occurrences are no longer needed once all its
         // children have been generated.
-        archive_node(self.sink, self.db, self.db_has_clipped, self.owned, node, k - 1);
+        archive_node(self.sink, self.db, self.db_has_clipped, node, k - 1);
         for child in children {
             self.grow_node(child, k + 1);
         }
@@ -518,18 +365,10 @@ impl<K: BoundaryKernel> GrowContext<'_, K> {
 /// through the sinks. `db_has_clipped` (false for unsplit or
 /// cleanly-tiled databases) skips that occurrence scan on the hot
 /// archive path when the answer can only be 0.
-///
-/// With a shard ownership mask (`owned`), supports and clipped counts are
-/// restricted to owned sequences — the raw material a [`crate::ShardMerge`]
-/// sums across shards — and patterns left with zero owned support are not
-/// emitted at all (their owner shard emits them instead). Confidence and
-/// `rel_support` are placeholders in that mode: only the merge, which
-/// sees the global event supports and sequence count, can compute them.
 pub(crate) fn archive_node(
     sink: &mut dyn PatternSink,
     db: &SequenceDatabase,
     db_has_clipped: bool,
-    owned: Option<&[bool]>,
     node: WorkNode,
     k: usize,
 ) {
@@ -549,58 +388,21 @@ pub(crate) fn archive_node(
     };
     let patterns: Vec<FrequentPattern> = patterns
         .into_iter()
-        .filter_map(|wp| {
-            let (support, rel_support, clipped_occurrences) = match owned {
-                None => {
-                    let clipped = if !db_has_clipped {
-                        0
-                    } else {
-                        wp.occurrences.iter().filter(|&oi| count_clipped(oi)).count()
-                    };
-                    (
-                        wp.support,
-                        wp.support as f64 / n_seqs.max(1) as f64,
-                        clipped,
-                    )
-                }
-                Some(mask) => {
-                    // Occurrences arrive grouped by ascending sequence id,
-                    // so distinct owned sequences can be counted in one
-                    // pass without a set.
-                    let mut support = 0usize;
-                    let mut clipped = 0usize;
-                    let mut last_seq: Option<u32> = None;
-                    for oi in wp.occurrences.iter() {
-                        let seq_id = occs.seq(oi);
-                        if !mask[seq_id as usize] {
-                            continue;
-                        }
-                        if last_seq != Some(seq_id) {
-                            support += 1;
-                            last_seq = Some(seq_id);
-                        }
-                        if db_has_clipped && count_clipped(oi) {
-                            clipped += 1;
-                        }
-                    }
-                    if support == 0 {
-                        return None;
-                    }
-                    (support, 0.0, clipped)
-                }
+        .map(|wp| {
+            let clipped_occurrences = if !db_has_clipped {
+                0
+            } else {
+                wp.occurrences.iter().filter(|&oi| count_clipped(oi)).count()
             };
-            Some(FrequentPattern {
+            FrequentPattern {
                 pattern: wp.pattern,
-                support,
-                rel_support,
+                support: wp.support,
+                rel_support: wp.support as f64 / n_seqs.max(1) as f64,
                 confidence: wp.confidence,
                 clipped_occurrences,
-            })
+            }
         })
         .collect();
-    if owned.is_some() && patterns.is_empty() {
-        return;
-    }
     sink.node(events, node_support, k, patterns);
 }
 

@@ -16,9 +16,8 @@
 //!   handed to the shared miners, so A-HTPGM composes with every
 //!   execution axis: parallel ([`mine_approximate_parallel`]), streaming
 //!   ([`mine_approximate_with_sink`],
-//!   [`mine_approximate_graph_with_sink`]), sharded support-complete
-//!   ([`ShardPlan::mine_approximate_into`]) and sharded
-//!   candidate-exchange ([`mine_approximate_sharded_exchange`],
+//!   [`mine_approximate_graph_with_sink`]) and sharded candidate-exchange
+//!   ([`mine_approximate_sharded_exchange`],
 //!   [`ShardPlan::mine_approximate_exchange_into`]) — each yielding the
 //!   identical pattern set;
 //! * [`mine_reference`] — a brute-force miner used as a correctness
@@ -26,19 +25,19 @@
 //! * [`PatternSink`] and friends ([`CollectSink`], [`CountingSink`],
 //!   [`CsvSink`], [`JsonlSink`]) — streaming output: [`mine_exact_with_sink`]
 //!   and [`mine_exact_parallel_with_sink`] emit each finished pattern-graph
-//!   node into a sink instead of materializing a result `Vec`;
-//! * [`ShardPlanner`] / [`mine_sharded`] / [`ShardMerge`] —
-//!   shard-by-time-range mining: K overlapping time-range slices mined
-//!   independently and merged losslessly through a streaming,
-//!   occurrence-deduplicating sink (`t_ov = t_max`, the Fig 3 lemma one
-//!   level up);
-//! * [`mine_sharded_exchange`] / [`ShardPlan::mine_exchange_into`] — the
-//!   two-phase candidate-exchange executor: shards run concurrently and
-//!   propose level-`k` candidates with owned supports, a coordinator
-//!   applies the *global* σ/δ apriori gate between levels, so per-shard
-//!   pruning is restored without giving up exactness ([`ShardReport`]
-//!   exposes per-shard candidate and timing observability).
-//!
+//!   node into a sink instead of materializing a result `Vec`. Every
+//!   unsharded entry point runs the same mining loop; one thread is its
+//!   degenerate case;
+//! * [`ShardPlanner`] / [`mine_sharded_exchange`] /
+//!   [`ShardPlan::mine_exchange_into`] — shard-by-time-range mining
+//!   through the two-phase candidate-exchange executor: K overlapping
+//!   time-range slices (`t_ov = t_max`, the Fig 3 lemma one level up) run
+//!   concurrently and propose level-`k` candidates with owned supports, a
+//!   coordinator applies the *global* σ/δ apriori gate between levels,
+//!   and a [`ShardMerge`] sums owned supports losslessly — per-shard
+//!   pruning without giving up exactness ([`ShardReport`] exposes
+//!   per-shard candidate and timing observability).
+
 //! # Quickstart
 //!
 //! ```
@@ -93,15 +92,15 @@ pub use postprocess::{
 };
 pub use hpg::{HierarchicalPatternGraph, Level, Node};
 pub use index::DatabaseIndex;
-pub use merge::{MergeSink, ShardMerge};
+pub use merge::ShardMerge;
 pub use pattern::Pattern;
-pub use pool::{DeltaKey, EventsRev, PatternId, PatternPool, PoolView};
+pub use pool::{DeltaKey, EventsRev, PatternId, PatternPool};
 pub use reference::{mine_reference, mine_reference_filtered};
 pub use result::{FrequentPattern, MiningResult, MiningStats};
 pub use schedule::{ExploreStats, Explorer, Schedule};
 pub use executor::ShardReport;
 pub use shard::{
-    mine_approximate_sharded_exchange, mine_sharded, mine_sharded_exchange, Shard, ShardPlan,
-    ShardPlanner, ShardedMining,
+    mine_approximate_sharded_exchange, mine_sharded_exchange, Shard, ShardPlan, ShardPlanner,
+    ShardedMining,
 };
 pub use sink::{CollectSink, CountingSink, CsvSink, JsonlSink, PatternSink};

@@ -1,19 +1,20 @@
-//! Multi-threaded E-HTPGM.
+//! The one E-HTPGM mining loop, at any thread count.
 //!
 //! HTPGM parallelizes naturally along the Hierarchical Pattern Graph:
 //! L2 candidate pairs are independent of each other, and from L3 onward
 //! every L2 node's subtree grows independently of its siblings (the only
 //! cross-node structure, the frequent-relation table of Lemmas 4–7, is
-//! complete once L2 is done and read-only afterwards). This module
-//! shards both phases over `std::thread::scope` workers, driving the same
-//! [`crate::candidates`] engine as the single-threaded miner, and emits
-//! finished nodes into a shared [`PatternSink`]. Output is bit-identical
-//! to [`crate::mine_exact`] up to pattern order (asserted by the
-//! equivalence tests, and across seeded interleavings by the
-//! [`crate::schedule`] harness) — node emission interleaves across
-//! workers, so the order is not deterministic run to run, but the set,
-//! supports and confidences are. Run statistics are summed across
-//! workers.
+//! complete once L2 is done and read-only afterwards). [`mine_internal`]
+//! runs both phases on the scoped work-stealing [`par_for_each`], driving
+//! the [`crate::candidates`] engine and the growth step of
+//! [`crate::exact`], and emits finished nodes into a shared
+//! [`PatternSink`]. One thread is the degenerate case — an inline loop,
+//! no spawn — and is what [`crate::mine_exact`] runs. With more threads,
+//! node emission interleaves across workers, so the order is not
+//! deterministic run to run, but the set, supports and confidences are
+//! (asserted by the equivalence tests, and across seeded interleavings
+//! by the [`crate::schedule`] harness). Run statistics are summed across
+//! tasks.
 //!
 //! Panic discipline: a panicking task must neither deadlock the pool nor
 //! silently drop sibling results. All scopes therefore join *every*
@@ -60,9 +61,9 @@ pub fn mine_exact_parallel(
 /// nodes into the shared `sink` as they complete (each emission is
 /// atomic, but emissions interleave across workers). The streaming path
 /// never materializes the full pattern result; emitted-pattern memory is
-/// bounded per worker by the emission batch plus one node, though L2
+/// bounded per task by the emission batch plus one node, though L2
 /// working state (all L2 nodes with their occurrence bindings) is still
-/// held during candidate generation, as in the sequential miner.
+/// held during candidate generation, as at one thread.
 ///
 /// # Panics
 ///
@@ -73,7 +74,7 @@ pub fn mine_exact_parallel_with_sink(
     n_threads: usize,
     sink: &mut (dyn PatternSink + Send),
 ) -> MiningStats {
-    mine_parallel_internal(db, cfg, n_threads, None, None, sink, None)
+    mine_internal(db, cfg, n_threads, None, sink, None)
 }
 
 /// Joins every handle, then re-raises the first panic payload if any
@@ -106,46 +107,51 @@ fn lock_clean<'a, T: ?Sized>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The owned-mask-aware engine behind [`mine_exact_parallel_with_sink`]:
-/// `owned` restricts emitted supports to a shard's owned sequences, as in
-/// [`crate::exact::mine_internal`]. Also the path the shard runner uses
-/// for per-shard parallel mining, and — with `sched` set — the engine
-/// under [`crate::Schedule::mine_parallel`], where every task claim goes
+/// How many L2 candidate pairs one task claims. Batching keeps the
+/// claim overhead low while leaving enough tasks to balance workers
+/// when a few pairs dominate the cost.
+const L2_CHUNK: usize = 16;
+
+/// The one mining loop (Alg. 1, gated by `corr` for A-HTPGM's Alg. 2)
+/// behind every unsharded entry point: [`crate::mine_exact`] and its
+/// sink variant run it at one thread, [`mine_exact_parallel_with_sink`]
+/// and the approximate miners at `n_threads`, and — with `sched` set —
+/// [`crate::Schedule::mine_parallel`], where every task claim goes
 /// through the seeded sequencer instead of racing on the atomic alone.
-pub(crate) fn mine_parallel_internal(
+/// Both phases run on [`par_for_each`], so one thread is a plain inline
+/// loop that spawns nothing.
+///
+/// # Panics
+///
+/// Panics if `n_threads == 0`.
+pub(crate) fn mine_internal(
     db: &SequenceDatabase,
     cfg: &MinerConfig,
     n_threads: usize,
     corr: Option<&CorrelationFilter<'_>>,
-    owned: Option<&[bool]>,
     sink: &mut (dyn PatternSink + Send),
     sched: Option<&SimCtl>,
 ) -> MiningStats {
     // lint: allow(panic, documented # Panics contract: thread count floor)
     assert!(n_threads > 0, "need at least one thread");
-    if n_threads == 1 {
-        return crate::exact::mine_internal(db, cfg, corr, owned, sink);
-    }
-    // Monomorphization seam: fix the boundary kernel once per run (the
-    // same dispatch point discipline as `exact::mine_internal`).
+    // Monomorphization seam: fix the boundary kernel once per run, so
+    // every instance-level decision below compiles branch-free.
     struct Run<'a, 'b, 'c> {
         db: &'a SequenceDatabase,
         cfg: &'a MinerConfig,
         n_threads: usize,
         corr: Option<&'a CorrelationFilter<'c>>,
-        owned: Option<&'a [bool]>,
         sink: &'a mut (dyn PatternSink + Send),
         sched: Option<&'b SimCtl>,
     }
     impl BoundaryVisit for Run<'_, '_, '_> {
         type Out = MiningStats;
         fn visit<K: BoundaryKernel>(self) -> MiningStats {
-            mine_parallel_internal_k::<K>(
+            mine_internal_k::<K>(
                 self.db,
                 self.cfg,
                 self.n_threads,
                 self.corr,
-                self.owned,
                 self.sink,
                 self.sched,
             )
@@ -156,27 +162,25 @@ pub(crate) fn mine_parallel_internal(
         cfg,
         n_threads,
         corr,
-        owned,
         sink,
         sched,
     })
 }
 
-/// [`mine_parallel_internal`], monomorphized over the boundary kernel.
-fn mine_parallel_internal_k<K: BoundaryKernel>(
+/// [`mine_internal`], monomorphized over the boundary kernel.
+fn mine_internal_k<K: BoundaryKernel>(
     db: &SequenceDatabase,
     cfg: &MinerConfig,
     n_threads: usize,
     corr: Option<&CorrelationFilter<'_>>,
-    owned: Option<&[bool]>,
     sink: &mut (dyn PatternSink + Send),
     sched: Option<&SimCtl>,
 ) -> MiningStats {
     let sigma_abs = cfg.absolute_support(db.len());
     let max_events = cfg.max_events.min(MAX_EVENTS_HARD_CAP);
-    let index = DatabaseIndex::build_masked(db, cfg.relation.boundary, owned);
+    let index = DatabaseIndex::build_with_policy(db, cfg.relation.boundary);
 
-    // ---- L1 ----
+    // ---- L1: frequent single events (Alg. 1 lines 1–4) ----
     let freq_events: Vec<EventId> = db
         .registry()
         .ids()
@@ -189,7 +193,8 @@ fn mine_parallel_internal_k<K: BoundaryKernel>(
         .collect();
     sink.begin(&l1);
 
-    // ---- L2, sharded over candidate pairs ----
+    // ---- L2: frequent 2-event patterns (Alg. 1 lines 5–14), claimed in
+    // chunks of candidate pairs ----
     let engine = L2Engine::<K> {
         db,
         index: &index,
@@ -202,57 +207,32 @@ fn mine_parallel_internal_k<K: BoundaryKernel>(
         .flat_map(|&ei| freq_events.iter().map(move |&ej| (ei, ej)))
         .filter(|&(ei, ej)| corr.is_none_or(|c| c.allows_pair(ei, ej)))
         .collect();
-    let next_pair = AtomicUsize::new(0);
-    if let Some(ctl) = sched {
-        ctl.phase(n_threads);
-    }
-    let mut shard_outputs: Vec<(Vec<WorkNode>, MiningStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|worker| {
-                let pairs = &pairs;
-                let next_pair = &next_pair;
-                let engine = &engine;
-                scope.spawn(move || {
-                    let _retire = sched.map(|ctl| Retire::new(ctl, worker));
-                    let mut nodes = Vec::new();
-                    let mut stats = MiningStats::default();
-                    stats.nodes_verified.push(0);
-                    loop {
-                        if let Some(ctl) = sched {
-                            ctl.turn(worker);
-                        }
-                        // Batched work stealing keeps shards balanced even
-                        // when a few pairs dominate the cost.
-                        let at = next_pair.fetch_add(16, Ordering::Relaxed);
-                        if at >= pairs.len() {
-                            break;
-                        }
-                        for &(ei, ej) in &pairs[at..(at + 16).min(pairs.len())] {
-                            if let Some(node) = engine.try_pair(ei, ej, &mut stats) {
-                                nodes.push(node);
-                            }
-                        }
-                    }
-                    (nodes, stats)
-                })
-            })
-            .collect();
-        join_all(handles)
+    let mut chunks: Vec<_> = pairs
+        .chunks(L2_CHUNK)
+        .map(|chunk| (chunk, Vec::new(), MiningStats::default()))
+        .collect();
+    par_for_each(&mut chunks, n_threads, sched, |_, (chunk, nodes, stats)| {
+        stats.nodes_verified.push(0);
+        for &(ei, ej) in chunk.iter() {
+            if let Some(node) = engine.try_pair(ei, ej, stats) {
+                nodes.push(node);
+            }
+        }
     });
 
     let mut stats = MiningStats::default();
-    crate::exact::record_boundary_stats(db, cfg, &mut stats);
+    record_boundary_stats(db, cfg, &mut stats);
     let db_has_clipped = stats.clipped_instances > 0;
     stats.nodes_verified.push(0);
     stats.nodes_kept.push(0);
     stats.patterns_found.push(0);
+    // Chunks keep pair order, so L2 comes out in canonical (events)
+    // order whatever the interleaving was.
     let mut level2: Vec<WorkNode> = Vec::new();
-    for (nodes, shard_stats) in shard_outputs.drain(..) {
-        merge_stats(&mut stats, shard_stats);
+    for (_, nodes, chunk_stats) in chunks {
+        merge_stats(&mut stats, chunk_stats);
         level2.extend(nodes);
     }
-    // Canonical order so work distribution is deterministic across runs.
-    level2.sort_by(|a, b| a.events.cmp(&b.events));
     stats.nodes_kept[0] = level2.len();
     stats.patterns_found[0] = level2.iter().map(|n| n.patterns.len()).sum();
 
@@ -263,83 +243,79 @@ fn mine_parallel_internal_k<K: BoundaryKernel>(
         }
     }
 
-    // ---- L3+: shard L2 nodes across workers, each growing its subtree
-    // with the shared read-only L2 relation table and emitting finished
-    // nodes straight into the shared sink. ----
-    let next_node = AtomicUsize::new(0);
-    let queue_refs: Vec<Mutex<Option<WorkNode>>> = level2
-        .into_iter()
-        .map(|n| Mutex::new(Some(n)))
-        .collect();
+    // ---- Lk (k >= 3): grow nodes (Alg. 1 lines 15–20) ----
+    // Each L2 node's subtree is one task, grown to exhaustion depth-first
+    // with the shared read-only L2 relation table. The level-wise
+    // semantics are unchanged, but a node's occurrence bindings are
+    // released as soon as its subtree is done — what keeps HTPGM's memory
+    // footprint below the list-materializing baselines (Table VIII).
+    // Finished nodes go straight into the shared sink.
     let shared = Mutex::new(sink);
-    if let Some(ctl) = sched {
-        ctl.phase(n_threads);
-    }
-    let shard_stats_out: Vec<MiningStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|worker| {
-                let next_node = &next_node;
-                let queue_refs = &queue_refs;
-                let index = &index;
-                let pair_relations = &pair_relations;
-                let freq_events = &freq_events;
-                let shared = &shared;
-                scope.spawn(move || {
-                    let _retire = sched.map(|ctl| Retire::new(ctl, worker));
-                    let mut worker_sink = SharedSink::new(shared);
-                    let mut shard_stats = MiningStats::default();
-                    loop {
-                        if let Some(ctl) = sched {
-                            ctl.turn(worker);
-                        }
-                        let at = next_node.fetch_add(1, Ordering::Relaxed);
-                        if at >= queue_refs.len() {
-                            break;
-                        }
-                        let node = lock_clean(&queue_refs[at])
-                            .take()
-                            // lint: allow(panic, structural invariant: the atomic counter hands each slot index out once)
-                            .expect("each node taken once");
-                        let mut grow = GrowContext::<K> {
-                            db,
-                            cfg,
-                            index,
-                            pair_relations,
-                            freq_events,
-                            sigma_abs,
-                            max_events,
-                            stats: &mut shard_stats,
-                            sink: &mut worker_sink,
-                            db_has_clipped,
-                            owned,
-                            kernel: PhantomData,
-                        };
-                        grow.grow_node(node, 3);
-                    }
-                    worker_sink.flush();
-                    shard_stats
-                })
-            })
-            .collect();
-        join_all(handles)
+    let mut subtrees: Vec<(Option<WorkNode>, MiningStats)> = level2
+        .into_iter()
+        .map(|node| (Some(node), MiningStats::default()))
+        .collect();
+    par_for_each(&mut subtrees, n_threads, sched, |_, (node, subtree_stats)| {
+        let Some(node) = node.take() else {
+            return;
+        };
+        let mut task_sink = SharedSink::new(&shared);
+        let mut grow = GrowContext::<K> {
+            db,
+            cfg,
+            index: &index,
+            pair_relations: &pair_relations,
+            freq_events: &freq_events,
+            sigma_abs,
+            max_events,
+            stats: subtree_stats,
+            sink: &mut task_sink,
+            db_has_clipped,
+            kernel: PhantomData,
+        };
+        grow.grow_node(node, 3);
+        task_sink.flush();
     });
 
-    for shard_stats in shard_stats_out {
-        merge_stats(&mut stats, shard_stats);
+    for (_, subtree_stats) in subtrees {
+        merge_stats(&mut stats, subtree_stats);
     }
     stats
 }
 
+/// Records how many instances of `db` carry a window-boundary clip, and
+/// how many of those the active [`ftpm_events::BoundaryPolicy`] drops
+/// outright — the run-level observability half of the boundary-artifact
+/// story (the per-pattern half is `clipped_occurrences`).
+fn record_boundary_stats(
+    db: &SequenceDatabase,
+    cfg: &MinerConfig,
+    stats: &mut MiningStats,
+) {
+    let clipped = db
+        .sequences()
+        .iter()
+        .flat_map(|s| s.instances())
+        .filter(|i| i.is_clipped())
+        .count() as u64;
+    stats.clipped_instances = clipped;
+    stats.discarded_instances = match cfg.relation.boundary {
+        ftpm_events::BoundaryPolicy::Discard => clipped,
+        ftpm_events::BoundaryPolicy::Clip | ftpm_events::BoundaryPolicy::TrueExtent => 0,
+    };
+}
+
 /// Runs `f(index, &mut item)` for every item, distributing items over up
-/// to `threads` scoped workers with atomic work stealing (the same
-/// machinery the L3 node queue above uses). With one thread — or one
-/// item — it degrades to a plain loop with no spawn at all. Items are
+/// to `threads` scoped workers with atomic work stealing. With one
+/// thread — or one item — it degrades to a plain loop with no spawn at
+/// all. Items are
 /// processed exactly once; completion order is unspecified, but every
 /// call has returned when this function returns. With `sched` set, each
 /// claim goes through the seeded sequencer (see [`crate::schedule`]).
 ///
-/// This is the shard executor's outer loop: each exchange round runs one
-/// stage on every [`crate::executor`] worker concurrently.
+/// Both phases of [`mine_internal`] run on it, and it is the shard
+/// executor's outer loop: each exchange round runs one stage on every
+/// [`crate::executor`] worker concurrently.
 pub(crate) fn par_for_each<T, F>(items: &mut [T], threads: usize, sched: Option<&SimCtl>, f: F)
 where
     T: Send,
@@ -417,15 +393,15 @@ type PendingNode = (Vec<EventId>, usize, usize, Vec<crate::result::FrequentPatte
 
 /// How many patterns a worker buffers before taking the shared-sink
 /// lock. Amortizes contention when many small nodes finish in bursts;
-/// worker-resident pattern memory stays bounded by this plus one node.
+/// task-resident pattern memory stays bounded by this plus one node.
 const SHARED_SINK_BATCH: usize = 1024;
 
-/// Per-worker handle on the shared sink: buffers finished nodes and
+/// Per-task handle on the shared sink: buffers finished nodes and
 /// drains them in batches under one lock acquisition, so each node still
 /// lands atomically while workers contend far less. (Serialization work
 /// done *inside* the target sink — e.g. CSV formatting — still happens
-/// under the lock; moving that worker-side needs a byte-level seam, see
-/// ROADMAP "Output channels".)
+/// under the lock; moving it onto the workers would need sinks that
+/// accept pre-encoded bytes.)
 struct SharedSink<'a, 'b> {
     shared: &'a Mutex<&'b mut (dyn PatternSink + Send)>,
     pending: Vec<PendingNode>,

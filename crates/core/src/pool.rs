@@ -36,13 +36,6 @@
 //! pre-interned in registry order by [`PatternPool::with_roots`], making
 //! `root(e) == PatternId(e.0)` — the property the exchange executor
 //! leans on when it forms [`DeltaKey`]s from raw event ids.
-//!
-//! [`PoolView`] layers a shard-local delta pool over a shared read-only
-//! base (the jyafn `SymbolsView` idiom): a shard can intern new entries
-//! without coordinator round-trips, and the coordinator later absorbs
-//! the delta, translating shard-local ids to master ids in one pass.
-//! That translation is the seam the ROADMAP's distributed-shard item
-//! will put on the wire.
 
 use ftpm_events::{EventId, TemporalRelation};
 
@@ -337,28 +330,6 @@ impl PatternPool {
         id
     }
 
-    /// Interns `pattern` with every event translated through `map`
-    /// (index = foreign event id, value = this pool's event id) — the
-    /// shard-merge seam: a shard's emission interns straight into the
-    /// master pool under the master registry's ids, no intermediate
-    /// `Pattern` allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map` does not cover an event of `pattern`, or a mapped
-    /// event has no root.
-    pub fn intern_mapped(&mut self, pattern: &Pattern, map: &[EventId]) -> PatternId {
-        let events = pattern.events();
-        let relations = pattern.relations();
-        let mut id = self.root(map[events[0].0 as usize]);
-        for k in 2..=events.len() {
-            let lo = (k - 1) * (k - 2) / 2;
-            let hi = k * (k - 1) / 2;
-            id = self.intern_raw(id, map[events[k - 1].0 as usize], &relations[lo..hi]);
-        }
-        id
-    }
-
     /// Materializes the pattern behind `id`. Allocation is
     /// output-proportional — callers resolve lazily, at emission time.
     pub fn resolve(&self, id: PatternId) -> Pattern {
@@ -398,8 +369,8 @@ impl PatternPool {
             && &self.rels[self.rel_starts[i] as usize..self.rel_starts[i + 1] as usize] == delta
     }
 
-    /// The hash-consing core for in-pool parents: probe, return the
-    /// existing id on a hit, append a new entry otherwise.
+    /// The hash-consing core: probe, return the existing id on a hit,
+    /// append a new entry otherwise.
     fn intern_raw(
         &mut self,
         parent: PatternId,
@@ -411,19 +382,6 @@ impl PatternPool {
         } else {
             self.depths[parent.0 as usize] + 1
         };
-        self.intern_with_depth(parent, last, delta, depth)
-    }
-
-    /// [`PatternPool::intern_raw`] with the child's event count supplied
-    /// by the caller — the form [`PoolView`] needs, where a delta
-    /// entry's parent may live in the base layer rather than this pool.
-    fn intern_with_depth(
-        &mut self,
-        parent: PatternId,
-        last: EventId,
-        delta: &[TemporalRelation],
-        depth: u32,
-    ) -> PatternId {
         self.reserve_table(self.len() + 1);
         let hash = hash_entry(parent, last, delta);
         let mask = self.table.len() - 1;
@@ -503,173 +461,6 @@ impl Iterator for EventsRev<'_> {
         let e = self.pool.last_event(self.at);
         self.at = self.pool.parent(self.at);
         Some(e)
-    }
-}
-
-/// A shard-local pattern pool layered over a shared read-only base — the
-/// `SymbolsView` base-plus-delta idiom. Ids below `base.len()` are base
-/// ids; ids at or above it index the view's private delta pool. A shard
-/// interns freely without coordinator round-trips; the coordinator later
-/// [`PoolView::absorb`]s the delta, translating every shard-local id to
-/// a master id in one ordered pass (each delta entry's parent is either
-/// a base id, unchanged, or an earlier delta entry, already translated).
-pub struct PoolView<'a> {
-    base: &'a PatternPool,
-    delta: PatternPool,
-}
-
-impl<'a> PoolView<'a> {
-    /// A view over `base` with an empty delta.
-    pub fn new(base: &'a PatternPool) -> PoolView<'a> {
-        PoolView {
-            base,
-            delta: PatternPool::default(),
-        }
-    }
-
-    /// Entries visible through the view (base plus delta).
-    pub fn len(&self) -> usize {
-        self.base.len() + self.delta.len()
-    }
-
-    /// True when both layers are empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entries interned locally, not yet in the base.
-    pub fn delta_len(&self) -> usize {
-        self.delta.len()
-    }
-
-    /// The base root id of a registry event (roots always live in the
-    /// base layer).
-    pub fn root(&self, event: EventId) -> PatternId {
-        self.base.root(event)
-    }
-
-    /// Interns a child through the view: a base hit returns the base id
-    /// untouched; anything new lands in the shard-local delta.
-    pub fn intern_child(
-        &mut self,
-        parent: PatternId,
-        last: EventId,
-        delta: &[TemporalRelation],
-    ) -> PatternId {
-        // Entries whose parent already escaped to the delta layer can
-        // never be base entries (the base never references the delta).
-        if (parent.0 as usize) < self.base.len() || parent.is_none() {
-            if let Some(hit) = self.base.lookup_child(parent, last, delta) {
-                return hit;
-            }
-        }
-        let depth = if parent.is_none() {
-            1
-        } else {
-            self.event_count(parent) as u32 + 1
-        };
-        let local = self.delta.intern_with_depth(parent, last, delta, depth);
-        PatternId(local.0 + self.base.len() as u32)
-    }
-
-    /// Interns a fully materialized pattern through the view.
-    pub fn intern(&mut self, pattern: &Pattern) -> PatternId {
-        let events = pattern.events();
-        let relations = pattern.relations();
-        let mut id = self.base.root(events[0]);
-        for k in 2..=events.len() {
-            let lo = (k - 1) * (k - 2) / 2;
-            let hi = k * (k - 1) / 2;
-            id = self.intern_child(id, events[k - 1], &relations[lo..hi]);
-        }
-        id
-    }
-
-    /// Parent of a view id, across layers.
-    pub fn parent(&self, id: PatternId) -> PatternId {
-        match self.local(id) {
-            None => self.base.parent(id),
-            Some(local) => self.delta.parent(local),
-        }
-    }
-
-    /// Event count of a view id, across layers.
-    pub fn event_count(&self, id: PatternId) -> usize {
-        match self.local(id) {
-            None => self.base.event_count(id),
-            Some(local) => self.delta.depths[local.0 as usize] as usize,
-        }
-    }
-
-    /// Materializes the pattern behind a view id, dispatching each chain
-    /// link to the layer that owns it.
-    pub fn resolve(&self, id: PatternId) -> Pattern {
-        let k = self.event_count(id);
-        let mut events = vec![EventId(0); k];
-        let mut chain = Vec::with_capacity(k);
-        let mut at = id;
-        let mut slot = k;
-        while !at.is_none() {
-            slot -= 1;
-            match self.local(at) {
-                None => {
-                    events[slot] = self.base.last_event(at);
-                    chain.push((false, at));
-                    at = self.base.parent(at);
-                }
-                Some(local) => {
-                    events[slot] = self.delta.last_event(local);
-                    chain.push((true, local));
-                    at = self.delta.parent(local);
-                }
-            }
-        }
-        let mut relations = Vec::with_capacity(k * (k - 1) / 2);
-        for &(in_delta, link) in chain.iter().rev() {
-            let layer = if in_delta { &self.delta } else { self.base };
-            relations.extend_from_slice(layer.delta_rels(link));
-        }
-        Pattern::new(events, relations)
-    }
-
-    /// Folds the delta layer into `base`, consuming the view. Returns
-    /// the translation table: `translate[local]` is the master id of the
-    /// view id `base.len() + local`. Base ids are their own translation.
-    ///
-    /// `base` must be the same pool the view was created over (enforced
-    /// structurally: delta parents below the recorded base length are
-    /// used as-is).
-    pub fn absorb(self, base: &mut PatternPool) -> Vec<PatternId> {
-        let base_len = self.base.len();
-        debug_assert_eq!(
-            base.len(),
-            base_len,
-            "absorb target must be the view's base pool"
-        );
-        let mut translate = Vec::with_capacity(self.delta.len());
-        for local in 0..self.delta.len() {
-            let id = PatternId(local as u32);
-            let parent = self.delta.parent(id);
-            let master_parent = if parent.is_none() || (parent.0 as usize) < base_len {
-                parent
-            } else {
-                translate[parent.0 as usize - base_len]
-            };
-            let master = base.intern_raw(
-                master_parent,
-                self.delta.last_event(id),
-                self.delta.delta_rels(id),
-            );
-            translate.push(master);
-        }
-        translate
-    }
-
-    /// Splits a view id into its delta-local index, if it is one.
-    #[inline]
-    fn local(&self, id: PatternId) -> Option<PatternId> {
-        let base_len = self.base.len() as u32;
-        (!id.is_none() && id.0 >= base_len).then(|| PatternId(id.0 - base_len))
     }
 }
 
@@ -763,16 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn intern_mapped_translates_events() {
-        let mut pool = PatternPool::with_roots(4);
-        // Foreign ids 0,1 map to master 3,2.
-        let map = [EventId(3), EventId(2)];
-        let foreign = pat(&[0, 1], &[Follow]);
-        let id = pool.intern_mapped(&foreign, &map);
-        assert_eq!(pool.resolve(id), pat(&[3, 2], &[Follow]));
-    }
-
-    #[test]
     fn table_growth_keeps_ids_stable() {
         let mut pool = PatternPool::with_roots(2);
         let mut ids = Vec::new();
@@ -801,45 +582,5 @@ mod tests {
         let id = pool.intern(&p);
         let rev: Vec<u32> = pool.events_rev(id).map(|e| e.0).collect();
         assert_eq!(rev, vec![1, 0, 2]);
-    }
-
-    #[test]
-    fn view_layers_base_and_delta() {
-        let mut base = PatternPool::with_roots(3);
-        let shared = base.intern(&pat(&[0, 1], &[Follow]));
-        let mut view = PoolView::new(&base);
-        // A base hit stays a base id; nothing lands in the delta.
-        assert_eq!(view.intern(&pat(&[0, 1], &[Follow])), shared);
-        assert_eq!(view.delta_len(), 0);
-        // New entries get ids past the base range.
-        let novel = pat(&[0, 1, 2], &[Follow, Overlap, Contain]);
-        let local = view.intern(&novel);
-        assert!(local.0 as usize >= base.len());
-        assert_eq!(view.resolve(local), novel);
-        assert_eq!(view.parent(local), shared);
-        assert_eq!(view.event_count(local), 3);
-    }
-
-    #[test]
-    fn absorb_translates_local_ids_to_master() {
-        let mut base = PatternPool::with_roots(3);
-        base.intern(&pat(&[0, 1], &[Follow]));
-        let base_snapshot = base.clone();
-        let mut view = PoolView::new(&base_snapshot);
-        let novel = pat(&[0, 1, 2], &[Follow, Overlap, Contain]);
-        let deeper = pat(
-            &[0, 1, 2, 0],
-            &[Follow, Overlap, Contain, Follow, Follow, Follow],
-        );
-        let local_novel = view.intern(&novel);
-        let local_deeper = view.intern(&deeper);
-        let translate = view.absorb(&mut base);
-        let master_novel = translate[local_novel.0 as usize - base_snapshot.len()];
-        let master_deeper = translate[local_deeper.0 as usize - base_snapshot.len()];
-        assert_eq!(base.resolve(master_novel), novel);
-        assert_eq!(base.resolve(master_deeper), deeper);
-        // Absorbing is idempotent with direct interning.
-        assert_eq!(base.intern(&novel), master_novel);
-        assert_eq!(base.intern(&deeper), master_deeper);
     }
 }

@@ -409,15 +409,8 @@ impl Schedule {
     /// instead of whatever the OS produces.
     pub fn mine_parallel(&self, db: &SequenceDatabase, cfg: &MinerConfig) -> MiningResult {
         let mut sink = CollectSink::new();
-        let stats = crate::parallel::mine_parallel_internal(
-            db,
-            cfg,
-            self.workers,
-            None,
-            None,
-            &mut sink,
-            Some(&self.ctl),
-        );
+        let stats =
+            crate::parallel::mine_internal(db, cfg, self.workers, None, &mut sink, Some(&self.ctl));
         sink.into_result(stats)
     }
 

@@ -13,14 +13,12 @@
 //! candidate nodes and the occurrence bindings of the subtree currently
 //! being grown) occupies memory.
 //!
-//! The same seam is what shard-by-time-range mining plugs into: each
-//! per-shard miner emits into a [`crate::MergeSink`] that forwards owned
-//! pattern statistics across the merge boundary instead of buffering a
-//! per-shard result, and [`crate::ShardMerge::finish_into`] streams the
-//! merged output into whatever downstream sink the caller chose — so
+//! Sharded runs end in the same seam: the exchange executor accumulates
+//! owned pattern statistics by pool id, and
+//! [`crate::ShardMerge::finish_into`] streams the merged output into
+//! whatever downstream sink the caller chose — so
 //! `ftpm mine --shards K --stream` composes sharding with the writer
-//! sinks without ever materializing a pattern `Vec`. A future network
-//! sink slots into the same boundary (see ROADMAP "Sharding/scale").
+//! sinks.
 //!
 //! Writer sinks record the first I/O error internally and go quiet; the
 //! error is surfaced by [`PatternSink::finish`], so the mining hot path

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use ftpm_core::{
     correlation_filter, mine_approximate, mine_approximate_parallel,
     mine_approximate_sharded_exchange, mine_approximate_with_density, mine_reference_filtered,
-    CollectSink, MinerConfig, MiningResult, ShardPlanner,
+    MinerConfig, MiningResult, ShardPlanner,
 };
 use ftpm_events::{
     to_sequence_database, BoundaryPolicy, EventRegistry, RelationConfig, SplitConfig,
@@ -99,8 +99,8 @@ fn policy_cfg(sigma: f64, delta: f64, t_max: i64, policy: BoundaryPolicy) -> Min
 
 /// The full composition check for one (data, split, cfg, μ, K): the
 /// single-threaded unsharded approximate run is the baseline, and the
-/// parallel, sharded support-complete and sharded candidate-exchange
-/// compositions must all reproduce it exactly.
+/// parallel and sharded candidate-exchange compositions must both
+/// reproduce it exactly.
 fn check_compositions(
     syb: &SymbolicDatabase,
     split: SplitConfig,
@@ -127,24 +127,6 @@ fn check_compositions(
     );
 
     let graph = CorrelationGraph::build(syb, mu);
-    let plan = ShardPlanner::new(shards)
-        .plan(syb, split, cfg.relation.t_max)
-        .unwrap_or_else(|e| panic!("{context}: shard plan failed: {e}"));
-
-    let mut sink = CollectSink::new();
-    let (stats, _) = plan.mine_approximate_into(&graph, cfg, threads, &mut sink);
-    let complete = sink.into_result(stats);
-    assert_equivalent(
-        &base_l,
-        &labelled(&complete, plan.registry()),
-        &format!("{context} [sharded support-complete]"),
-    );
-    assert_eq!(
-        base.result.frequent_events.len(),
-        complete.frequent_events.len(),
-        "{context}: support-complete L1 count"
-    );
-
     let (exchanged, reports) =
         mine_approximate_sharded_exchange(syb, split, &graph, cfg, shards, threads)
             .unwrap_or_else(|e| panic!("{context}: exchange plan failed: {e}"));
@@ -158,7 +140,7 @@ fn check_compositions(
         exchanged.result.frequent_events.len(),
         "{context}: exchange L1 count"
     );
-    assert_eq!(reports.len(), plan.shards().len());
+    assert_eq!(reports.len(), exchanged.shards);
     for r in &reports {
         assert!(
             r.candidates_pruned <= r.candidates_proposed,

@@ -1,18 +1,14 @@
 //! The two-phase candidate-exchange executor must be *exact*: for any
 //! data, any split, any shard count and any boundary policy, its merged
-//! output equals both the support-complete sharded merge (the PR 4 path
-//! it cross-validates against) and the unsharded `mine_exact` baseline —
-//! same pattern labels, supports, confidences and clipped-occurrence
-//! counts — while generating strictly fewer candidates per shard than
-//! support-complete mining whenever the global gate has anything to kill.
-//! Event ids differ across conversions (intern order), so everything
-//! compares by label.
+//! output equals the unsharded `mine_exact` baseline — same pattern
+//! labels, supports, confidences and clipped-occurrence counts — while
+//! its global gate actually kills candidates before the next level is
+//! enumerated. Event ids differ across conversions (intern order), so
+//! everything compares by label.
 
 use std::collections::HashMap;
 
-use ftpm_core::{
-    mine_exact, mine_sharded, mine_sharded_exchange, MinerConfig, MiningResult, ShardPlanner,
-};
+use ftpm_core::{mine_exact, mine_sharded_exchange, MinerConfig, MiningResult, ShardPlanner};
 use ftpm_events::{
     to_sequence_database, BoundaryPolicy, EventRegistry, RelationConfig, SplitConfig,
 };
@@ -88,8 +84,8 @@ fn policy_cfg(sigma: f64, delta: f64, t_max: i64, policy: BoundaryPolicy) -> Min
         .with_relation(RelationConfig::new(0, 1, t_max).with_boundary(policy))
 }
 
-/// One full three-way check: unsharded vs support-complete vs exchange.
-fn check_three_way(
+/// One full check: unsharded vs exchange.
+fn check_exchange(
     syb: &SymbolicDatabase,
     split: SplitConfig,
     cfg: &MinerConfig,
@@ -98,33 +94,33 @@ fn check_three_way(
     context: &str,
 ) {
     let seq = to_sequence_database(syb, split);
-    let base = labelled(&mine_exact(&seq, cfg), seq.registry());
-    let complete = mine_sharded(syb, split, cfg, shards, threads)
-        .unwrap_or_else(|e| panic!("{context}: support-complete plan failed: {e}"));
-    assert_equivalent(
-        &base,
-        &labelled(&complete.result, &complete.registry),
-        &format!("{context} [support-complete]"),
-    );
+    let base = mine_exact(&seq, cfg);
     let (exchange, reports) = mine_sharded_exchange(syb, split, cfg, shards, threads)
         .unwrap_or_else(|e| panic!("{context}: exchange plan failed: {e}"));
     assert_equivalent(
-        &base,
+        &labelled(&base, seq.registry()),
         &labelled(&exchange.result, &exchange.registry),
         &format!("{context} [exchange]"),
     );
     // L1 and boundary observability agree too.
+    let base_l1: HashMap<&str, usize> = base
+        .frequent_events
+        .iter()
+        .map(|&(e, s)| (seq.registry().label(e), s))
+        .collect();
+    let exchange_l1: HashMap<&str, usize> = exchange
+        .result
+        .frequent_events
+        .iter()
+        .map(|&(e, s)| (exchange.registry.label(e), s))
+        .collect();
+    assert_eq!(base_l1, exchange_l1, "{context}: L1 events");
     assert_eq!(
-        complete.result.frequent_events.len(),
-        exchange.result.frequent_events.len(),
-        "{context}: L1 count"
-    );
-    assert_eq!(
-        complete.result.stats.clipped_instances, exchange.result.stats.clipped_instances,
+        base.stats.clipped_instances, exchange.result.stats.clipped_instances,
         "{context}: clipped_instances"
     );
     assert_eq!(
-        complete.result.stats.discarded_instances, exchange.result.stats.discarded_instances,
+        base.stats.discarded_instances, exchange.result.stats.discarded_instances,
         "{context}: discarded_instances"
     );
     // Ownership partitions the window space.
@@ -153,7 +149,7 @@ fn exchange_equals_baselines_across_policies_and_shard_counts() {
     ] {
         let cfg = policy_cfg(0.25, 0.25, 20, policy);
         for shards in [1usize, 2, 4] {
-            check_three_way(&syb, split, &cfg, shards, 1, &format!("{policy} K={shards}"));
+            check_exchange(&syb, split, &cfg, shards, 1, &format!("{policy} K={shards}"));
         }
     }
 }
@@ -177,9 +173,11 @@ fn concurrent_shards_match_sequential_exchange() {
 }
 
 /// The headline of the exchange: the global gate kills candidates *before*
-/// the next level is enumerated, so every shard generates strictly fewer
-/// candidates than the support-complete path on the same plan — while the
-/// outputs stay identical (asserted above and in `repro_exchange`).
+/// the next level is enumerated, so on the energy demo every shard count
+/// sees it prune — while the output stays identical to the unsharded
+/// baseline (asserted here and in `repro_exchange`). The support-complete
+/// path this once compared against proposed every candidate with owned
+/// support ≥ 1 and is retired; the gate's kill count is the measure now.
 #[test]
 fn exchange_prunes_strictly_fewer_candidates_than_support_complete() {
     let data = ftpm_datagen::nist_like(0.01).project_variables(6);
@@ -187,31 +185,26 @@ fn exchange_prunes_strictly_fewer_candidates_than_support_complete() {
     let cfg = MinerConfig::new(0.25, 0.25)
         .with_max_events(3)
         .with_relation(RelationConfig::new(0, 1, t_max).with_boundary(BoundaryPolicy::TrueExtent));
-    let plan = ShardPlanner::new(4)
-        .plan(&data.syb, data.split, t_max)
-        .expect("plan");
-    let mut sink = ftpm_core::CountingSink::default();
-    let (_, complete_reports) = plan.mine_into_reported(&cfg, 1, &mut sink);
-    let (exchange_result, exchange_reports) = plan.mine_exchange(&cfg, 1);
-
-    let complete_total: usize = complete_reports.iter().map(|r| r.candidates_proposed).sum();
-    let exchange_total: usize = exchange_reports.iter().map(|r| r.candidates_proposed).sum();
-    assert!(
-        exchange_total < complete_total,
-        "exchange must generate strictly fewer candidates \
-         ({exchange_total} vs {complete_total})"
-    );
-    assert!(
-        exchange_reports.iter().any(|r| r.candidates_pruned > 0),
-        "the global gate must actually kill candidates on the energy demo"
-    );
-    // And it still finds everything the unsharded baseline finds.
     let base = mine_exact(&data.seq, &cfg);
-    assert_equivalent(
-        &labelled(&base, data.seq.registry()),
-        &labelled(&exchange_result, plan.registry()),
-        "energy demo",
-    );
+    for shards in [2usize, 4] {
+        let plan = ShardPlanner::new(shards)
+            .plan(&data.syb, data.split, t_max)
+            .expect("plan");
+        let (exchange_result, reports) = plan.mine_exchange(&cfg, 1);
+        let proposed: usize = reports.iter().map(|r| r.candidates_proposed).sum();
+        let pruned: usize = reports.iter().map(|r| r.candidates_pruned).sum();
+        assert!(
+            pruned > 0,
+            "K={shards}: the global gate must actually kill candidates on the \
+             energy demo ({pruned} of {proposed} pruned)"
+        );
+        // And it still finds everything the unsharded baseline finds.
+        assert_equivalent(
+            &labelled(&base, data.seq.registry()),
+            &labelled(&exchange_result, plan.registry()),
+            &format!("energy demo K={shards}"),
+        );
+    }
 }
 
 /// A shard whose slice contains no (visible) instances must propose
@@ -234,16 +227,13 @@ fn empty_shards_propose_nothing() {
         assert_eq!(r.candidates_proposed, 0, "shard {} proposed from nothing", r.shard);
         assert_eq!(r.candidates_pruned, 0);
     }
-    // The support-complete path agrees.
-    let complete = plan.mine(&cfg, 1);
-    assert!(complete.is_empty());
 }
 
 /// Variant 2: a sparse tail — activity only near the start, then one long
 /// constant run. Under `Discard`, tail windows hold only boundary-clipped
 /// instances, so with one shard per window the tail shards see an empty
 /// masked index. The exchange must still match the unsharded baseline
-/// (and the support-complete merge) exactly.
+/// exactly.
 #[test]
 fn discard_hidden_tail_shards_do_not_poison_the_exchange() {
     let mut syb = SymbolicDatabase::new(0, 5, 48); // 12 windows of 4 steps
@@ -263,7 +253,7 @@ fn discard_hidden_tail_shards_do_not_poison_the_exchange() {
         // sigma low enough that head-only patterns survive globally.
         let cfg = policy_cfg(0.05, 0.05, 20, policy);
         let n_windows = to_sequence_database(&syb, split).len();
-        check_three_way(
+        check_exchange(
             &syb,
             split,
             &cfg,
@@ -280,9 +270,9 @@ mod prop {
 
     proptest! {
         /// Random series, random σ/δ, K in {1, 2, 4}, every boundary
-        /// policy: exchange-mode sharded output == support-complete merge
-        /// == unsharded `mine_exact` (labels, supports, confidences,
-        /// clipped counts).
+        /// policy: exchange-mode sharded output == unsharded `mine_exact`
+        /// (labels, supports, confidences, clipped counts). The name
+        /// predates the retired support-complete comparator.
         #[test]
         fn exchange_equals_support_complete_and_unsharded(
             seed in 0u64..24,
@@ -309,22 +299,17 @@ mod prop {
                 );
             let seq = to_sequence_database(&syb, split);
             let base = labelled(&mine_exact(&seq, &cfg), seq.registry());
-            let complete = mine_sharded(&syb, split, &cfg, shards, 1).expect("plan");
             let (exchange, _) =
                 mine_sharded_exchange(&syb, split, &cfg, shards, 1).expect("plan");
-            let cm = labelled(&complete.result, &complete.registry);
             let em = labelled(&exchange.result, &exchange.registry);
             for (label, (supp, conf, clipped)) in &base {
-                for (name, m) in [("support-complete", &cm), ("exchange", &em)] {
-                    let (s, c, cl) = m.get(label).unwrap_or_else(|| {
-                        panic!("{name} lost {label} (K={shards}, {policy})")
-                    });
-                    prop_assert_eq!(supp, s, "{} support of {}", name, label);
-                    prop_assert!((conf - c).abs() < 1e-9, "{} confidence of {}", name, label);
-                    prop_assert_eq!(clipped, cl, "{} clipped of {}", name, label);
-                }
+                let (s, c, cl) = em
+                    .get(label)
+                    .unwrap_or_else(|| panic!("exchange lost {label} (K={shards}, {policy})"));
+                prop_assert_eq!(supp, s, "support of {}", label);
+                prop_assert!((conf - c).abs() < 1e-9, "confidence of {}", label);
+                prop_assert_eq!(clipped, cl, "clipped of {}", label);
             }
-            prop_assert_eq!(base.len(), cm.len(), "support-complete pattern count");
             prop_assert_eq!(base.len(), em.len(), "exchange pattern count");
         }
     }

@@ -1,6 +1,6 @@
 //! Shard-by-time-range mining must be lossless: for any data, any split,
-//! and any shard count, the merged output of `mine_sharded` (shards cut
-//! with `t_ov = t_max`, mined independently on their own slices) equals
+//! and any shard count, the merged output of `mine_sharded_exchange`
+//! (shards cut with `t_ov = t_max`, each mining its own slice) equals
 //! the unsharded `mine_exact` baseline on the same split — same pattern
 //! labels, supports, confidences and clipped-occurrence counts. Event ids
 //! differ across conversions (intern order), so everything compares by
@@ -8,7 +8,9 @@
 
 use std::collections::HashMap;
 
-use ftpm_core::{mine_exact, mine_sharded, MinerConfig, MiningResult, ShardPlanner};
+use ftpm_core::{
+    mine_exact, mine_sharded_exchange, MinerConfig, MiningResult, ShardPlanner, ShardedMining,
+};
 use ftpm_events::{
     to_sequence_database, BoundaryPolicy, EventRegistry, RelationConfig, SplitConfig,
 };
@@ -82,6 +84,16 @@ fn assert_equivalent(base: &Labelled, sharded: &Labelled, context: &str) {
     );
 }
 
+/// The sharded run under test: candidate exchange on one thread.
+fn sharded_run(
+    syb: &SymbolicDatabase,
+    split: SplitConfig,
+    cfg: &MinerConfig,
+    shards: usize,
+) -> Result<ShardedMining, String> {
+    mine_sharded_exchange(syb, split, cfg, shards, 1).map(|(sharded, _)| sharded)
+}
+
 fn check(
     syb: &SymbolicDatabase,
     split: SplitConfig,
@@ -91,7 +103,7 @@ fn check(
 ) {
     let seq = to_sequence_database(syb, split);
     let base = mine_exact(&seq, cfg);
-    let sharded = mine_sharded(syb, split, cfg, shards, 1)
+    let sharded = sharded_run(syb, split, cfg, shards)
         .unwrap_or_else(|e| panic!("{context}: plan failed: {e}"));
     assert_equivalent(
         &labelled(&base, seq.registry()),
@@ -135,7 +147,7 @@ fn k1_degenerate_case_matches_mine_exact_bit_for_bit() {
     let cfg = true_extent_cfg(20);
     let seq = to_sequence_database(&syb, split);
     let base = mine_exact(&seq, &cfg);
-    let sharded = mine_sharded(&syb, split, &cfg, 1, 1).expect("plan");
+    let sharded = sharded_run(&syb, split, &cfg, 1).expect("plan");
     assert_eq!(sharded.shards, 1);
     // One shard covering everything: identical content (the merge emits
     // in sorted order, so compare as maps plus exact counts).
@@ -210,7 +222,7 @@ fn tied_instances_bind_in_the_global_intern_order() {
         "baseline must bind the tie as {tied}: {base:?}"
     );
     for shards in [2usize, 4] {
-        let sharded = mine_sharded(&syb, split, &cfg, shards, 1).expect("plan");
+        let sharded = sharded_run(&syb, split, &cfg, shards).expect("plan");
         assert_equivalent(
             &base,
             &labelled(&sharded.result, &sharded.registry),
@@ -248,7 +260,7 @@ fn overlap_dedup_never_under_counts_and_naive_merge_over_counts() {
 
     let plan = ShardPlanner::new(3).plan(&syb, split, cfg.relation.t_max).expect("plan");
     // The deduplicating merge reproduces the baseline exactly.
-    let merged = plan.mine(&cfg, 1);
+    let (merged, _) = plan.mine_exchange(&cfg, 1);
     let merged_map = labelled(&merged, plan.registry());
     assert_equivalent(&base_map, &merged_map, "dedup merge");
 
@@ -322,7 +334,7 @@ mod prop {
                 );
             let seq = to_sequence_database(&syb, split);
             let base = mine_exact(&seq, &cfg);
-            let sharded = mine_sharded(&syb, split, &cfg, shards, 1).expect("plan");
+            let sharded = sharded_run(&syb, split, &cfg, shards).expect("plan");
             let (bm, sm) = (
                 labelled(&base, seq.registry()),
                 labelled(&sharded.result, &sharded.registry),

@@ -12,8 +12,6 @@
 //! ftpm mine  --demo nist --sort support --top 20
 //! ftpm mine  --demo nist --scale 0.01 --boundary true-extent --t-max 180 \
 //!            --shards 4 --shard-by time --json            # candidate exchange
-//! ftpm mine  --demo nist --scale 0.01 --boundary true-extent --t-max 180 \
-//!            --shards 4 --no-exchange                     # support-complete
 //! ftpm graph --demo nist --scale 0.02 --mu 0.4
 //! ```
 //!
@@ -28,9 +26,9 @@
 //! pattern set in memory.
 //!
 //! Every flag selects one axis of the same plan: `--mu` /
-//! `--approx-density` (A-HTPGM), `--threads`, `--shards`,
-//! `--exchange`/`--no-exchange` and `--stream` compose freely, and every
-//! composition yields the same pattern set as its single-threaded,
+//! `--approx-density` (A-HTPGM), `--threads`, `--shards` (always mined
+//! through the candidate exchange) and `--stream` compose freely, and
+//! every composition yields the same pattern set as its single-threaded,
 //! unsharded counterpart.
 
 use std::io::{BufWriter, Write as _};
@@ -66,7 +64,6 @@ USAGE:
              [--threshold F | --states N] [--scale F]
              [--mu F | --approx-density F] [--max-events N]
              [--threads N] [--shards K] [--shard-by time]
-             [--exchange | --no-exchange]
              [--output FILE.{{csv,jsonl}}] [--stream]
              [--sort support|confidence] [--top N] [--json]
   ftpm graph [--input FILE.csv | --demo ...] [--mu F] [--scale F]
@@ -89,25 +86,20 @@ OPTIONS:
   --threshold F      On/Off symbolization threshold       [default 0.05]
   --states N         use N quantile states instead of On/Off
   --mu F             A-HTPGM with explicit NMI threshold; composes with
-                     --threads/--shards/--exchange/--stream — same
+                     --threads/--shards/--stream — same
                      pattern set on every composition
   --approx-density F A-HTPGM with correlation-graph density target
                      (mutually exclusive with --mu)
   --max-events N     cap pattern length                   [default 5]
   --threads N        worker threads                   [default: all cores]
   --shards K         shard-by-time-range mining: cut the data into K
-                     time-range shards overlapping by t_max, mine each
-                     independently, merge losslessly (output equals the
-                     unsharded run, exact or approximate)  [default 1]
+                     time-range shards overlapping by t_max and mine them
+                     by two-phase candidate exchange — shards run
+                     concurrently, propose level-k candidates with owned
+                     supports, and the global sigma/delta gate prunes
+                     losers before the next level; output equals the
+                     unsharded run, exact or approximate   [default 1]
   --shard-by KEY     sharding axis; only \"time\" is implemented
-  --exchange         two-phase candidate exchange (default with --shards):
-                     shards run concurrently, propose level-k candidates
-                     with owned supports, and the global sigma/delta gate
-                     prunes losers before the next level — same output,
-                     strictly fewer candidates per shard
-  --no-exchange      keep the support-complete path (no per-shard pruning,
-                     sequential shards) for cross-validation; keep
-                     --max-events low on wide alphabets
   --output FILE      export patterns (.csv or .jsonl, by extension)
   --stream           stream patterns straight to --output while mining —
                      or, without --output, as CSV to stdout (the summary
@@ -238,9 +230,6 @@ struct Options {
     max_events: usize,
     threads: usize,
     shards: usize,
-    /// `--exchange` / `--no-exchange` as given; `None` means "default":
-    /// candidate exchange whenever `--shards` > 1.
-    exchange: Option<bool>,
     output: Option<String>,
     stream: bool,
     sort: Option<PatternSort>,
@@ -275,7 +264,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         max_events: 5,
         threads: default_threads(),
         shards: 1,
-        exchange: None,
         output: None,
         stream: false,
         sort: None,
@@ -326,8 +314,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     return Err("--shards must be at least 1".into());
                 }
             }
-            "--exchange" => opt.exchange = Some(true),
-            "--no-exchange" => opt.exchange = Some(false),
             "--shard-by" => {
                 let axis = value("--shard-by")?;
                 if axis != "time" {
@@ -368,16 +354,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
     if opt.mu.is_some() && opt.density.is_some() {
         return Err(
             "--mu and --approx-density both choose the correlation graph; pick one".into(),
-        );
-    }
-    // A silent no-op would read as "exchange ran": candidate exchange is
-    // a property of sharded runs, so asking for it without shards is a
-    // usage error, not something to ignore.
-    if opt.exchange == Some(true) && opt.shards <= 1 {
-        return Err(
-            "--exchange needs --shards K (K > 1): candidate exchange coordinates \
-             per-shard mining rounds, so there is nothing to exchange unsharded"
-                .into(),
         );
     }
     // The shard slices overlap by t_ov = t_max; with t_max unconstrained
@@ -513,50 +489,39 @@ fn write_patterns(
 }
 
 /// The one mining plan: every `ftpm mine` run — exact or approximate,
-/// sequential or parallel, unsharded, sharded support-complete or
-/// sharded candidate-exchange, collecting or streaming — is this single
-/// dispatch over (shard plan, correlation graph, exchange, threads)
-/// feeding one sink. A-HTPGM is not a separate code path: `graph` gates
-/// the same miners the exact rows use, so every composition yields the
-/// identical pattern set.
+/// sequential or parallel, unsharded or sharded by candidate exchange,
+/// collecting or streaming — is this single dispatch over (shard plan,
+/// correlation graph, threads) feeding one sink. A-HTPGM is not a
+/// separate code path: `graph` gates the same miners the exact rows use,
+/// so every composition yields the identical pattern set.
 fn run_plan(
     seq: &SequenceDatabase,
     cfg: &MinerConfig,
     threads: usize,
     shard_plan: Option<&ShardPlan>,
-    exchange: bool,
     graph: Option<&CorrelationGraph>,
     sink: &mut (dyn PatternSink + Send),
 ) -> (MiningStats, Vec<ShardReport>) {
     match (shard_plan, graph) {
-        (Some(plan), Some(g)) if exchange => {
-            plan.mine_approximate_exchange_into(g, cfg, threads, sink)
-        }
-        (Some(plan), Some(g)) => plan.mine_approximate_into(g, cfg, threads, sink),
-        (Some(plan), None) if exchange => plan.mine_exchange_into(cfg, threads, sink),
-        (Some(plan), None) => plan.mine_into_reported(cfg, threads, sink),
+        (Some(plan), Some(g)) => plan.mine_approximate_exchange_into(g, cfg, threads, sink),
+        (Some(plan), None) => plan.mine_exchange_into(cfg, threads, sink),
         (None, Some(g)) => (
             mine_approximate_graph_with_sink(seq, g, cfg, threads, sink),
             Vec::new(),
         ),
-        (None, None) if threads > 1 => {
-            (mine_exact_parallel_with_sink(seq, cfg, threads, sink), Vec::new())
-        }
-        (None, None) => (mine_exact_with_sink(seq, cfg, sink), Vec::new()),
+        (None, None) => (mine_exact_parallel_with_sink(seq, cfg, threads, sink), Vec::new()),
     }
 }
 
 /// Streams the mining run straight into `--output` (stdout CSV without
 /// one); returns the number of patterns written, the run statistics and
-/// (for sharded runs) the per-shard reports. With a shard plan, each
-/// shard's miner streams through the deduplicating merge into the same
-/// writer sink — the full pattern set is still never materialized.
+/// (for sharded runs) the per-shard reports. With a shard plan, the
+/// exchange's deduplicating merge emits into the same writer sink.
 fn mine_streaming(
     seq: &SequenceDatabase,
     cfg: &MinerConfig,
     threads: usize,
     shard_plan: Option<&ShardPlan>,
-    exchange: bool,
     graph: Option<&CorrelationGraph>,
     path: Option<&str>,
 ) -> Result<(u64, MiningStats, Vec<ShardReport>), String> {
@@ -564,7 +529,7 @@ fn mine_streaming(
     let mut reports = Vec::new();
     let registry = shard_plan.map_or(seq.registry(), |p| p.registry());
     let written = write_patterns(path, registry, &mut |sink| {
-        (stats, reports) = run_plan(seq, cfg, threads, shard_plan, exchange, graph, sink);
+        (stats, reports) = run_plan(seq, cfg, threads, shard_plan, graph, sink);
     })?;
     Ok((written, stats, reports))
 }
@@ -705,9 +670,8 @@ fn try_mine(args: &[String]) -> Result<(), String> {
         None
     };
     let shards = shard_plan.as_ref().map_or(1, |p| p.shards().len());
-    // Candidate exchange is the default sharded executor; --no-exchange
-    // keeps the support-complete PR 4 path for cross-validation.
-    let exchange = shard_plan.is_some() && opt.exchange.unwrap_or(true);
+    // Every sharded run is mined by candidate exchange.
+    let exchange = shard_plan.is_some();
     let label = {
         let core = match (&graph, opt.mu, opt.density) {
             (Some(_), Some(mu), _) => format!("A-HTPGM(mu={mu})"),
@@ -715,11 +679,7 @@ fn try_mine(args: &[String]) -> Result<(), String> {
             _ => "E-HTPGM".to_owned(),
         };
         match &shard_plan {
-            Some(plan) => format!(
-                "{core}[{} shards{}]",
-                plan.shards().len(),
-                if exchange { ", exchange" } else { "" }
-            ),
+            Some(plan) => format!("{core}[{} shards, exchange]", plan.shards().len()),
             None => core,
         }
     };
@@ -732,7 +692,6 @@ fn try_mine(args: &[String]) -> Result<(), String> {
             &cfg,
             threads,
             shard_plan.as_ref(),
-            exchange,
             graph.as_ref(),
             path,
         )?;
@@ -797,7 +756,6 @@ fn try_mine(args: &[String]) -> Result<(), String> {
             &cfg,
             threads,
             shard_plan.as_ref(),
-            exchange,
             graph.as_ref(),
             &mut sink,
         );

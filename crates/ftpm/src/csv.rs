@@ -52,8 +52,14 @@ pub fn parse_csv(text: &str) -> Result<Vec<TimeSeries>, String> {
     if times.len() < 2 {
         return Err("need at least two data rows".into());
     }
-    let step = times[1] - times[0];
-    if step <= 0 || !times.windows(2).all(|w| w[1] - w[0] == step) {
+    // Checked: a step that overflows i64 is an irregular step, so
+    // timestamps near the range ends get the documented error.
+    let step = times[1].checked_sub(times[0]).unwrap_or(0);
+    if step <= 0
+        || !times
+            .windows(2)
+            .all(|w| w[1].checked_sub(w[0]) == Some(step))
+    {
         return Err("time column must increase at a constant step".into());
     }
     Ok(names
@@ -79,6 +85,11 @@ mod tests {
     #[test]
     fn rejects_irregular_timestamps() {
         let err = parse_csv("time,a\n0,1\n5,2\n12,3\n").unwrap_err();
+        assert!(err.contains("constant step"), "{err}");
+        // The step between the i64 range ends overflows; it must be
+        // rejected, not panic.
+        let extremes = "time,a\n-9223372036854775808,1\n9223372036854775807,2\n";
+        let err = parse_csv(extremes).unwrap_err();
         assert!(err.contains("constant step"), "{err}");
     }
 

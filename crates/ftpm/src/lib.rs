@@ -53,11 +53,11 @@ pub use ftpm_core::{
     mine_approximate_parallel_with_sink, mine_approximate_sharded_exchange,
     mine_approximate_with_density, mine_approximate_with_sink, mine_exact, mine_exact_parallel,
     mine_exact_parallel_with_sink, mine_exact_with_sink, mine_reference,
-    mine_reference_filtered, mine_sharded, mine_sharded_exchange, ApproxOutcome, CollectSink,
+    mine_reference_filtered, mine_sharded_exchange, ApproxOutcome, CollectSink,
     CorrelationFilter, CountingSink, CsvSink, DatabaseIndex, ExploreStats, Explorer,
     DeltaKey, EventsRev, FrequentPattern, HierarchicalPatternGraph, JsonlSink, Level,
-    MergeSink, MinerConfig, MiningResult, MiningStats, Node, Pattern, PatternId, PatternPool,
-    PatternSink, PatternSort, PoolView, PruningConfig, Schedule, Shard, ShardMerge, ShardPlan,
+    MinerConfig, MiningResult, MiningStats, Node, Pattern, PatternId, PatternPool,
+    PatternSink, PatternSort, PruningConfig, Schedule, Shard, ShardMerge, ShardPlan,
     ShardPlanner, ShardReport, ShardedMining,
 };
 pub use ftpm_datagen::{

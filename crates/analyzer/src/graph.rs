@@ -1,4 +1,6 @@
-//! The workspace program model and the whole-program rules R7–R10.
+//! The workspace program model and the whole-program rules R7, R9 and
+//! R10. (R8, facade coverage, is retired: the `ftpm` facade glob-exports
+//! `ftpm_core`, so it cannot drift.)
 //!
 //! [`ItemGraph`] stitches every file's [`crate::parser::ParsedFile`] into
 //! one view: functions with their crate/module/impl coordinates, a
@@ -22,9 +24,6 @@
 //!   strings, `Box::new` and stray `unwrap`s are not. Panic sites that
 //!   already carry a `lint: allow(panic, …)` contract are treated as
 //!   documented.
-//! * **R8 `facade`** — every name `ftpm_core` re-exports must be
-//!   re-exported by the `ftpm` facade too. PRs 2–8 each had to remember
-//!   this by hand; now drift is a lint failure.
 //! * **R9 `sink_seam`** — every public `mine_*` entry point in
 //!   `ftpm_core` must transitively reach a mining seam — the one mining
 //!   loop `mine_internal` or the one sharded executor
@@ -421,60 +420,6 @@ impl<'a> ItemGraph<'a> {
         }
     }
 
-    /// R8: facade coverage — every `pub use` leaf of `ftpm_core`'s crate
-    /// root must be re-exported from `ftpm_core` by the facade crate
-    /// root. Skipped when either crate root is absent from the file set
-    /// (fixture corpora).
-    pub fn check_facade(&self, out: &mut Vec<Violation>) {
-        let core_lib = self
-            .files
-            .iter()
-            .find(|f| f.ctx.rel_path == "crates/core/src/lib.rs");
-        let facade_lib = self
-            .files
-            .iter()
-            .find(|f| f.ctx.rel_path == "crates/ftpm/src/lib.rs");
-        let (Some(core_lib), Some(facade_lib)) = (core_lib, facade_lib) else {
-            return;
-        };
-        let mut facade: HashSet<&str> = HashSet::new();
-        let mut facade_glob = false;
-        for u in &facade_lib.parsed.uses {
-            if u.path.first().map(String::as_str) == Some("ftpm_core") {
-                if u.visible == "*" {
-                    facade_glob = true;
-                }
-                facade.insert(u.visible.as_str());
-            }
-        }
-        if facade_glob {
-            return;
-        }
-        for u in &core_lib.parsed.uses {
-            if !u.is_pub || u.visible == "*" || u.visible == "_" {
-                continue;
-            }
-            if facade.contains(u.visible.as_str()) {
-                continue;
-            }
-            if allowed(&core_lib.allows, "facade", u.line) {
-                continue;
-            }
-            out.push(Violation {
-                rule: "R8/facade".into(),
-                file: core_lib.ctx.rel_path.clone(),
-                line: u.line,
-                message: format!(
-                    "`{}` is exported by ftpm_core but not re-exported by the `ftpm` \
-                     facade; add it to the facade's `pub use ftpm_core::{{..}}` list \
-                     (or annotate with `// lint: allow(facade, reason)` for a \
-                     deliberately internal export)",
-                    u.visible
-                ),
-            });
-        }
-    }
-
     /// R9: sink-seam discipline for `ftpm_core`'s public miners.
     pub fn check_sink_seam(&self, out: &mut Vec<Violation>) {
         for id in 0..self.fns.len() {
@@ -561,7 +506,6 @@ impl<'a> ItemGraph<'a> {
     /// Runs every whole-program rule.
     pub fn check_all(&self, out: &mut Vec<Violation>) {
         self.check_hot_path(out);
-        self.check_facade(out);
         self.check_sink_seam(out);
         self.check_concurrency(out);
     }

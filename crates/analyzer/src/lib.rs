@@ -1,10 +1,10 @@
 //! # ftpm-analyzer — workspace invariant linter
 //!
 //! A project-specific static-analysis pass for the ftpm workspace. The
-//! miner's headline guarantee (exchange == support-complete == unsharded,
+//! miner's headline guarantee (exchange == parallel == unsharded,
 //! bit-for-bit) rests on conventions rustc cannot check; this crate
 //! enforces them as errors. See [`rules`] for the per-file rule set
-//! (R1–R6), [`graph`] for the whole-program rules (R7–R10) over the
+//! (R1–R6), [`graph`] for the whole-program rules (R7, R9, R10) over the
 //! [`graph::ItemGraph`] workspace model, and the
 //! `// lint: allow(rule, reason)` suppression grammar. Allow markers
 //! that suppress nothing are themselves reported (warnings by default,
@@ -169,7 +169,7 @@ pub fn analyze_sources(sources: Vec<(String, String)>, opts: &AnalyzeOptions) ->
         });
     }
 
-    // Pass 2: whole-program rules (R7–R10) over the item graph.
+    // Pass 2: whole-program rules (R7, R9, R10) over the item graph.
     let item_graph = ItemGraph::build(&records);
     item_graph.check_all(&mut report.violations);
 

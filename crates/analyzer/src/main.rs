@@ -63,7 +63,6 @@ fn ftpm_analyzer_cli(args: &[String]) -> Result<Outcome, String> {
                      R6 filter_confinement  CorrelationFilter built only at the approx/exchange seams\n\n\
                      Whole-program rules (over the workspace item graph):\n  \
                      R7 hot_path            no transient allocation / undocumented panics reachable from the hot set\n  \
-                     R8 facade              every ftpm_core export is re-exported by the ftpm facade\n  \
                      R9 sink_seam           every public miner routes through the mine_*_internal seam\n  \
                      R10 concurrency        threads/channels/shared state only in parallel/executor/schedule.rs\n\n\
                      Suppress a finding with `// lint: allow(rule, reason)` on the\n\

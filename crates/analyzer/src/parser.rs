@@ -1,9 +1,9 @@
 //! Item-level parsing on top of the lexer — just enough structure for
-//! the whole-program rules (R7–R10).
+//! the whole-program rules (R7, R9, R10).
 //!
 //! The per-file rules (R1–R6) are token-shaped and need no structure,
-//! but "no allocation reachable from the hot path" and "every `ftpm_core`
-//! entry point is re-exported by the facade" are properties of the
+//! but "no allocation reachable from the hot path" and "every public
+//! miner reaches the mining seam" are properties of the
 //! *program*, not of any one line. This module recovers the minimum
 //! structure those rules need from the token stream: module nesting,
 //! `impl` blocks (with their trait and self type), function items with

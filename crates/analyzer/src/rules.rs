@@ -4,7 +4,7 @@
 //! system's exactness guarantee rests on:
 //!
 //! * **R1 `and-count`** — apriori gates must use the fused
-//!   [`Bitmap::and_count`] instead of `.and(..).count_ones()`, which
+//!   `Bitmap::and_count` instead of `.and(..).count_ones()`, which
 //!   allocates an intermediate bitmap on the hottest path in the miner.
 //!   Only the bitmap kernel module (`crates/bitmap/src/kernel.rs`, the
 //!   one legitimate home of raw word loops) and test code (equivalence

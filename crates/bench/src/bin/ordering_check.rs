@@ -15,12 +15,13 @@ fn main() {
     let e = ftpm_core::mine_exact(&data.seq, &cfg);
     println!("E-HTPGM   {:>10.1?} {} patterns", t.elapsed(), e.len());
     let t = Instant::now();
-    let a = ftpm_core::mine_approximate_with_density(&data.syb, &data.seq, 0.6, &cfg);
+    let graph = ftpm_mi::CorrelationGraph::build_with_density(&data.syb, 0.6);
+    let a = ftpm_core::mine_approximate(&data.seq, &graph, &cfg);
     println!(
         "A-HTPGM60 {:>10.1?} {} patterns (accuracy {:.0}%)",
         t.elapsed(),
-        a.result.len(),
-        100.0 * a.result.accuracy_against(&e)
+        a.len(),
+        100.0 * a.accuracy_against(&e)
     );
     let t = Instant::now();
     let tp = ftpm_baselines::mine_tpminer(&data.seq, &cfg);

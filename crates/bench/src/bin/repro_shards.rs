@@ -1,6 +1,6 @@
 #![deny(unsafe_code)]
 //! Shard-merge equivalence on the energy demo (beyond the paper; ROADMAP
-//! "Sharding/scale"): `mine_sharded_exchange` with K ∈ {1, 2, 4}
+//! "Sharding/scale"): `ShardPlan::mine_exchange` with K ∈ {1, 2, 4}
 //! time-range shards, `t_ov = t_max` and `--boundary true-extent` must
 //! reproduce the unsharded baseline exactly — same pattern labels,
 //! supports, confidences and clipped-occurrence counts. Exits nonzero

@@ -5,11 +5,11 @@
 //! the first CLI argument to push towards the full size.
 
 use ftpm_core::{
-    mine_approximate_with_density, mine_exact, mine_exact_parallel_with_sink,
-    mine_exact_with_sink, CollectSink, CountingSink, JsonlSink, MinerConfig, PatternSink,
-    PruningConfig,
+    mine_approximate, mine_exact, mine_exact_parallel_with_sink, mine_exact_with_sink,
+    CollectSink, CountingSink, JsonlSink, MinerConfig, PatternSink, PruningConfig,
 };
 use ftpm_datagen::{dataport_like, nist_like, smartcity_like, ukdale_like, Dataset};
+use ftpm_mi::CorrelationGraph;
 
 use crate::alloc_track::measure_peak;
 use crate::util::{secs, time, Method, Opts, Report};
@@ -137,6 +137,7 @@ pub fn table9(opts: &Opts) {
                 .map(|&delta| mine_exact(&data.seq, &config(sigma, delta, opts)))
                 .collect();
             for &density in &density_grid {
+                let graph = CorrelationGraph::build_with_density(&data.syb, density);
                 let mut cells = vec![
                     data.name.clone(),
                     format!("{:.0}", sigma * 100.0),
@@ -144,9 +145,7 @@ pub fn table9(opts: &Opts) {
                 ];
                 for (&delta, exact) in sigma_grid.iter().zip(&exacts) {
                     let cfg = config(sigma, delta, opts);
-                    let approx =
-                        mine_approximate_with_density(&data.syb, &data.seq, density, &cfg);
-                    let acc = approx.result.accuracy_against(exact);
+                    let acc = mine_approximate(&data.seq, &graph, &cfg).accuracy_against(exact);
                     cells.push(format!("{:.0}", acc * 100.0));
                 }
                 report.row(cells);
@@ -249,8 +248,9 @@ pub fn fig8(opts: &Opts) {
             let cfg = MinerConfig::new(sigma_pct as f64 / 100.0, 1e-9)
                 .with_max_events(opts.max_events);
             let exact = mine_exact(&data.seq, &cfg);
-            let approx = mine_approximate_with_density(&data.syb, &data.seq, 0.2, &cfg);
-            let kept = approx.result.pattern_keys();
+            let graph = CorrelationGraph::build_with_density(&data.syb, 0.2);
+            let approx = mine_approximate(&data.seq, &graph, &cfg);
+            let kept = approx.pattern_keys();
             let pruned: Vec<f64> = exact
                 .patterns
                 .iter()
@@ -296,14 +296,18 @@ pub fn fig9(opts: &Opts) {
         let cfg = config(0.3, 0.3, opts);
         let (exact, exact_time) = time(|| mine_exact(&data.seq, &cfg));
         for density in [0.2, 0.4, 0.6, 0.8] {
-            let (approx, t) =
-                time(|| mine_approximate_with_density(&data.syb, &data.seq, density, &cfg));
-            let accuracy = approx.result.accuracy_against(&exact);
+            // The paper's A-HTPGM runtime includes the NMI computation, so
+            // the graph build sits inside the timed region.
+            let ((approx, mu), t) = time(|| {
+                let graph = CorrelationGraph::build_with_density(&data.syb, density);
+                (mine_approximate(&data.seq, &graph, &cfg), graph.mu())
+            });
+            let accuracy = approx.accuracy_against(&exact);
             let gain = 1.0 - t.as_secs_f64() / exact_time.as_secs_f64();
             report.row(vec![
                 data.name.clone(),
                 format!("{:.0}", density * 100.0),
-                format!("{:.3}", approx.mu),
+                format!("{mu:.3}"),
                 format!("{:.1}", accuracy * 100.0),
                 format!("{:.1}", gain * 100.0),
             ]);
@@ -592,7 +596,7 @@ pub fn boundary_equivalence(opts: &Opts) -> bool {
 pub fn shard_equivalence(opts: &Opts) -> bool {
     use std::collections::HashMap;
 
-    use ftpm_core::mine_sharded_exchange;
+    use ftpm_core::ShardPlanner;
     use ftpm_events::{BoundaryPolicy, EventRegistry, RelationConfig};
 
     let data = nist_like(opts.scale).project_variables(8);
@@ -646,11 +650,14 @@ pub fn shard_equivalence(opts: &Opts) -> bool {
     let mut json_rows = Vec::new();
     let mut k4_equal = false;
     for k in [1usize, 2, 4] {
-        let ((sharded, _), elapsed) = time(|| {
-            mine_sharded_exchange(&data.syb, data.split, &cfg, k, 1)
-                .expect("valid shard geometry")
+        let ((plan, sharded), elapsed) = time(|| {
+            let plan = ShardPlanner::new(k)
+                .plan(&data.syb, data.split, t_max)
+                .expect("valid shard geometry");
+            let (result, _) = plan.mine_exchange(&cfg, 1);
+            (plan, result)
         });
-        let merged_map = labelled(&sharded.result, &sharded.registry);
+        let merged_map = labelled(&sharded, plan.registry());
         let missing = base_map.keys().filter(|l| !merged_map.contains_key(*l)).count();
         let extra = merged_map.keys().filter(|l| !base_map.contains_key(*l)).count();
         let stat_mismatches = base_map
@@ -668,7 +675,7 @@ pub fn shard_equivalence(opts: &Opts) -> bool {
         report.row(vec![
             k.to_string(),
             base.len().to_string(),
-            sharded.result.len().to_string(),
+            sharded.len().to_string(),
             missing.to_string(),
             extra.to_string(),
             stat_mismatches.to_string(),
@@ -680,7 +687,7 @@ pub fn shard_equivalence(opts: &Opts) -> bool {
              \"missing\": {missing}, \"extra\": {extra}, \
              \"stat_mismatches\": {stat_mismatches}, \"equal\": {equal}}}",
             base.len(),
-            sharded.result.len(),
+            sharded.len(),
         ));
     }
     report.finish();
@@ -870,9 +877,8 @@ pub fn exchange_pruning(opts: &Opts) -> bool {
 pub fn approx_composition(opts: &Opts) -> bool {
     use std::collections::HashMap;
 
-    use ftpm_core::{mine_approximate_parallel, ShardPlanner};
+    use ftpm_core::{mine_approximate_graph_with_sink, ShardPlanner};
     use ftpm_events::{BoundaryPolicy, EventRegistry, RelationConfig};
-    use ftpm_mi::CorrelationGraph;
 
     const DENSITY: f64 = 0.8;
     let data = nist_like(opts.scale).project_variables(8);
@@ -903,16 +909,12 @@ pub fn approx_composition(opts: &Opts) -> bool {
             .collect::<HashMap<String, (usize, f64, usize)>>()
     };
 
-    // The baseline the acceptance contract names: unsharded,
-    // single-threaded A-HTPGM via the density parameterization.
-    let (base, base_secs) =
-        time(|| mine_approximate_with_density(&data.syb, &data.seq, DENSITY, &cfg));
-    let base_map = labelled(&base.result, data.seq.registry());
-
-    // The one graph every composition below shares — same μ as the
-    // baseline resolved to, asserted rather than assumed.
+    // The one graph every run below shares (density parameterization);
+    // the baseline the acceptance contract names is the unsharded,
+    // single-threaded A-HTPGM run under it.
     let graph = CorrelationGraph::build_with_density(&data.syb, DENSITY);
-    let mut approx_equal = (graph.mu() - base.mu).abs() < 1e-12;
+    let (base, base_secs) = time(|| mine_approximate(&data.seq, &graph, &cfg));
+    let base_map = labelled(&base, data.seq.registry());
 
     let mut report = Report::new(
         "approx_composition",
@@ -926,7 +928,7 @@ pub fn approx_composition(opts: &Opts) -> bool {
         "1".into(),
         "1".into(),
         "-".into(),
-        base.result.len().to_string(),
+        base.len().to_string(),
         "0".into(),
         "0".into(),
         secs(base_secs),
@@ -977,23 +979,21 @@ pub fn approx_composition(opts: &Opts) -> bool {
         equal
     };
 
-    let (par, par_secs) =
-        time(|| mine_approximate_parallel(&data.syb, &data.seq, graph.mu(), &cfg, 4));
-    approx_equal &= check(
-        "parallel",
-        4,
-        1,
-        None,
-        &par.result,
-        data.seq.registry(),
-        par_secs,
-    );
+    let (par, par_secs) = time(|| {
+        let mut sink = CollectSink::new();
+        let stats = mine_approximate_graph_with_sink(&data.seq, &graph, &cfg, 4, &mut sink);
+        sink.into_result(stats)
+    });
+    let mut approx_equal = check("parallel", 4, 1, None, &par, data.seq.registry(), par_secs);
 
     let plan = ShardPlanner::new(4)
         .plan(&data.syb, data.split, t_max)
         .expect("valid shard geometry");
-    let ((approx_result, approx_reports), elapsed) =
-        time(|| plan.mine_approximate_exchange(&graph, &cfg, 4));
+    let ((approx_result, approx_reports), elapsed) = time(|| {
+        let mut sink = CollectSink::new();
+        let (stats, reports) = plan.mine_approximate_exchange_into(&graph, &cfg, 4, &mut sink);
+        (sink.into_result(stats), reports)
+    });
     let approx_candidates: usize =
         approx_reports.iter().map(|r| r.candidates_proposed).sum();
     approx_equal &= check(
@@ -1033,7 +1033,7 @@ pub fn approx_composition(opts: &Opts) -> bool {
         data.seq.len(),
         graph.mu(),
         opts.scale,
-        base.result.len(),
+        base.len(),
         json_rows.join(",\n"),
     );
     let _ = std::fs::create_dir_all("results");
@@ -1241,7 +1241,7 @@ pub fn kernel_speedup(opts: &Opts) -> bool {
 
 /// Hash-consed pattern-pool speedup gate (beyond the paper; ROADMAP
 /// "hash-consed pattern pool"): A/B of the merge accumulation hot path —
-/// the retired pattern-keyed design (clone every emitted [`Pattern`]
+/// the retired pattern-keyed design (clone every emitted [`ftpm_core::Pattern`]
 /// into a `HashMap<Pattern, stats>`, re-hashing the full event/relation
 /// vectors per emission) against the pooled design that interns each
 /// pattern once and accumulates in flat columns indexed by `PatternId`.

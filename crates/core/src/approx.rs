@@ -15,10 +15,11 @@
 //! a [`CorrelationFilter`] handed to the shared miners: this module is
 //! the *only* place filters are constructed (lint rule R6), and every
 //! execution axis — sequential/parallel via
-//! [`mine_approximate_graph_with_sink`], sharded candidate-exchange via
-//! [`crate::ShardPlan::mine_approximate_exchange_into`] — consumes the
-//! identical gates, so every composition yields the same pattern set as
-//! plain [`mine_approximate`].
+//! [`mine_approximate_graph_with_sink`] (and its collecting form
+//! [`mine_approximate`]), sharded candidate-exchange via
+//! [`crate::ShardPlan::mine_approximate_exchange_into`] — takes the same
+//! caller-built [`CorrelationGraph`] and consumes the identical gates, so
+//! every composition yields the same pattern set.
 
 use ftpm_events::{EventRegistry, SequenceDatabase};
 use ftpm_mi::CorrelationGraph;
@@ -30,43 +31,16 @@ use crate::parallel::mine_internal;
 use crate::result::{MiningResult, MiningStats};
 use crate::sink::{CollectSink, PatternSink};
 
-/// Output of an approximate mining run: what the run produced (a
-/// [`MiningResult`] for collecting entry points, bare [`MiningStats`]
-/// for sink-driven ones) plus the correlation structures, so callers can
-/// inspect what was pruned.
-#[derive(Debug)]
-pub struct ApproxOutcome<T = MiningResult> {
-    /// What the run produced on the correlated subset.
-    pub result: T,
-    /// The MI threshold actually used.
-    pub mu: f64,
-    /// The correlation graph (Def 5.5).
-    pub graph: CorrelationGraph,
-    /// The correlated set `X_C` — variables with at least one edge.
-    pub correlated: Vec<VariableId>,
-}
-
-/// Wraps a run's output with the correlation structures it was gated by.
-fn outcome<T>(result: T, graph: CorrelationGraph) -> ApproxOutcome<T> {
-    let mu = graph.mu();
-    let correlated = graph.correlated_variables();
-    ApproxOutcome {
-        result,
-        mu,
-        graph,
-        correlated,
-    }
-}
-
 /// Builds the variable-level A-HTPGM filter: L1 admits events whose
 /// series is in `X_C`, L2 admits pairs whose series share a `G_C` edge.
 ///
 /// The single construction site for every variable-level approximate
-/// path (R6): the sequential/parallel miners get it from the entry
-/// points below, the exchange coordinator borrows one built here so
-/// shards never invent their own edge gate, and external callers (the
-/// reference oracle via [`crate::mine_reference_filtered`], tests) call
-/// this rather than assembling gates of their own. `registry` must come
+/// path (R6): the unsharded miners get it from
+/// [`mine_approximate_graph_with_sink`], the exchange coordinator
+/// borrows one built here so shards never invent their own edge gate,
+/// and external callers (the reference oracle via
+/// [`crate::mine_reference_filtered`], tests) call this rather than
+/// assembling gates of their own. `registry` must come
 /// from the conversion of the database `graph` was built on (the shard
 /// planner's master registry qualifies — shard databases are remapped
 /// onto it before mining).
@@ -88,92 +62,32 @@ pub fn correlation_filter<'a>(
     )
 }
 
-/// Mines `seq_db` approximately with an explicit MI threshold `μ`
-/// (Alg. 2). `syb` must be the symbolic database `seq_db` was converted
-/// from — A-HTPGM computes NMI on `D_SYB`, not on `D_SEQ`.
+/// Mines `seq_db` approximately under the correlation graph `G_C`
+/// (Alg. 2): one thread, collected into a [`MiningResult`]. Build the
+/// graph on the symbolic database `seq_db` was converted from — A-HTPGM
+/// computes NMI on `D_SYB`, not on `D_SEQ` — with
+/// [`CorrelationGraph::build`] for a μ threshold or
+/// [`CorrelationGraph::build_with_density`] for the density
+/// parameterization the paper evaluates ("A-HTPGM (80%)" keeps 80% of
+/// the complete graph's edges, Def 5.6).
 ///
 /// The result is always a subset of [`crate::mine_exact`]'s patterns; the
 /// accuracy/runtime trade-off is controlled by `μ` (Table IX, Fig 9).
 pub fn mine_approximate(
-    syb: &SymbolicDatabase,
     seq_db: &SequenceDatabase,
-    mu: f64,
+    graph: &CorrelationGraph,
     cfg: &MinerConfig,
-) -> ApproxOutcome {
-    mine_collect(seq_db, CorrelationGraph::build(syb, mu), cfg, 1)
+) -> MiningResult {
+    let mut sink = CollectSink::new();
+    let stats = mine_approximate_graph_with_sink(seq_db, graph, cfg, 1, &mut sink);
+    sink.into_result(stats)
 }
 
-/// Mines approximately with `μ` chosen so the correlation graph keeps the
-/// given fraction of the complete graph's edges (Def 5.6) — how the paper
-/// parameterizes A-HTPGM in the evaluation ("A-HTPGM (80%)" keeps 80% of
-/// edges).
-pub fn mine_approximate_with_density(
-    syb: &SymbolicDatabase,
-    seq_db: &SequenceDatabase,
-    density: f64,
-    cfg: &MinerConfig,
-) -> ApproxOutcome {
-    mine_collect(seq_db, CorrelationGraph::build_with_density(syb, density), cfg, 1)
-}
-
-/// Multi-threaded [`mine_approximate`]: the same pattern set, supports
-/// and confidences, mined by `threads` workers.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn mine_approximate_parallel(
-    syb: &SymbolicDatabase,
-    seq_db: &SequenceDatabase,
-    mu: f64,
-    cfg: &MinerConfig,
-    threads: usize,
-) -> ApproxOutcome {
-    mine_collect(seq_db, CorrelationGraph::build(syb, mu), cfg, threads)
-}
-
-/// Sink-driven [`mine_approximate`]: emits each finished node into
-/// `sink` instead of materializing a [`MiningResult`] — the approximate
-/// counterpart of [`crate::mine_exact_with_sink`]. The outcome wraps the
-/// run statistics.
-pub fn mine_approximate_with_sink(
-    syb: &SymbolicDatabase,
-    seq_db: &SequenceDatabase,
-    mu: f64,
-    cfg: &MinerConfig,
-    sink: &mut (dyn PatternSink + Send),
-) -> ApproxOutcome<MiningStats> {
-    let graph = CorrelationGraph::build(syb, mu);
-    let stats = mine_approximate_graph_with_sink(seq_db, &graph, cfg, 1, sink);
-    outcome(stats, graph)
-}
-
-/// Sink-driven, multi-threaded [`mine_approximate`] — the approximate
-/// counterpart of [`crate::mine_exact_parallel_with_sink`].
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn mine_approximate_parallel_with_sink(
-    syb: &SymbolicDatabase,
-    seq_db: &SequenceDatabase,
-    mu: f64,
-    cfg: &MinerConfig,
-    threads: usize,
-    sink: &mut (dyn PatternSink + Send),
-) -> ApproxOutcome<MiningStats> {
-    let graph = CorrelationGraph::build(syb, mu);
-    let stats = mine_approximate_graph_with_sink(seq_db, &graph, cfg, threads, sink);
-    outcome(stats, graph)
-}
-
-/// The unsharded A-HTPGM primitive every entry point above reduces to:
-/// mines `seq_db` under a caller-built correlation graph, emitting into
-/// `sink` with `threads` workers (1 runs inline, spawning nothing). Build the
-/// graph once — [`CorrelationGraph::build`] for a μ threshold,
-/// [`CorrelationGraph::build_with_density`] for the density
-/// parameterization — and reuse it across runs or pass it on to the
-/// sharded variants; that is the "one plan" contract.
+/// The unsharded A-HTPGM primitive: mines `seq_db` under a caller-built
+/// correlation graph, emitting into `sink` with `threads` workers (1 runs
+/// inline, spawning nothing). Build the graph once and reuse it across
+/// runs or pass it on to [`crate::ShardPlan::mine_approximate_exchange_into`];
+/// that is the "one plan" contract.
 ///
 /// # Panics
 ///
@@ -187,18 +101,6 @@ pub fn mine_approximate_graph_with_sink(
 ) -> MiningStats {
     let filter = correlation_filter(graph, seq_db.registry());
     mine_internal(seq_db, cfg, threads, Some(&filter), sink, None)
-}
-
-/// Collecting driver behind the non-sink entry points.
-fn mine_collect(
-    seq_db: &SequenceDatabase,
-    graph: CorrelationGraph,
-    cfg: &MinerConfig,
-    threads: usize,
-) -> ApproxOutcome {
-    let mut sink = CollectSink::new();
-    let stats = mine_approximate_graph_with_sink(seq_db, &graph, cfg, threads, &mut sink);
-    outcome(sink.into_result(stats), graph)
 }
 
 /// Builds a symbolic database of per-event indicator series: one binary
@@ -251,24 +153,21 @@ pub fn mine_approximate_event_level(
     seq_db: &SequenceDatabase,
     mu: f64,
     cfg: &MinerConfig,
-) -> ApproxOutcome {
+) -> MiningResult {
     let indicators = event_indicator_database(syb, seq_db);
     let graph = CorrelationGraph::build(&indicators, mu);
-    let result = {
-        // Event-level variant of `correlation_filter`: the indicator
-        // database has one vertex per event, so the mapping is the
-        // identity instead of the registry's variable projection.
-        let mut allowed = vec![false; seq_db.registry().len()];
-        for var in graph.correlated_variables() {
-            allowed[var.0 as usize] = true;
-        }
-        let filter = CorrelationFilter::new(
-            allowed,
-            Box::new(|ei, ej| graph.has_edge(VariableId(ei.0), VariableId(ej.0))),
-        );
-        let mut sink = CollectSink::new();
-        let stats = mine_internal(seq_db, cfg, 1, Some(&filter), &mut sink, None);
-        sink.into_result(stats)
-    };
-    outcome(result, graph)
+    // Event-level variant of `correlation_filter`: the indicator database
+    // has one vertex per event, so the mapping is the identity instead of
+    // the registry's variable projection.
+    let mut allowed = vec![false; seq_db.registry().len()];
+    for var in graph.correlated_variables() {
+        allowed[var.0 as usize] = true;
+    }
+    let filter = CorrelationFilter::new(
+        allowed,
+        Box::new(|ei, ej| graph.has_edge(VariableId(ei.0), VariableId(ej.0))),
+    );
+    let mut sink = CollectSink::new();
+    let stats = mine_internal(seq_db, cfg, 1, Some(&filter), &mut sink, None);
+    sink.into_result(stats)
 }

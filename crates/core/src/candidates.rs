@@ -29,9 +29,8 @@ pub(crate) const CONF_EPS: f64 = 1e-9;
 ///
 /// The filter acts at exactly two points of the level-wise walk — L1
 /// keeps only events whose series is in the correlated set `X_C`
-/// ([`CorrelationFilter::allows_event`]), and L2 keeps only pairs whose
-/// series share a correlation-graph edge
-/// ([`CorrelationFilter::allows_pair`]). Levels ≥ 3 need no check of
+/// (`allows_event`), and L2 keeps only pairs whose series share a
+/// correlation-graph edge (`allows_pair`). Levels ≥ 3 need no check of
 /// their own: they grow from surviving L2 nodes over the filtered L1
 /// event list, so the restriction propagates structurally. Every miner
 /// (sequential, parallel, reference, exchange) consumes the same filter
@@ -39,10 +38,10 @@ pub(crate) const CONF_EPS: f64 = 1e-9;
 /// sharded output equals unsharded `mine_approximate`" an identity
 /// rather than an approximation.
 ///
-/// Construction is deliberately confined to [`crate::approx`] (and the
-/// exchange coordinator, which borrows the filter built there) — lint
-/// rule R6 — so there is exactly one place that decides what "correlated"
-/// means.
+/// Construction is deliberately confined to [`crate::correlation_filter`]
+/// (and the exchange coordinator, which borrows the filter built there)
+/// — lint rule R6 — so there is exactly one place that decides what
+/// "correlated" means.
 pub struct CorrelationFilter<'a> {
     /// `allowed[event]` — the event's series is in the correlated set X_C.
     allowed: Vec<bool>,

@@ -71,10 +71,6 @@ pub fn mine_exact(db: &SequenceDatabase, cfg: &MinerConfig) -> MiningResult {
 /// nodes exist at once during candidate generation, and a node's
 /// occurrence bindings live until its subtree is grown.) Returns the
 /// run statistics.
-///
-/// # Examples
-///
-/// See the [`crate::sink`] module docs.
 pub fn mine_exact_with_sink(
     db: &SequenceDatabase,
     cfg: &MinerConfig,

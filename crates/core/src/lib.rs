@@ -12,13 +12,12 @@
 //!   Apriori pruning (Lemmas 2–3) and transitivity pruning (Lemmas 4–7);
 //! * [`mine_approximate`] (A-HTPGM, Section V, Alg. 2) — prunes
 //!   uncorrelated time series via the mutual-information correlation
-//!   graph before running HTPGM. The graph is a [`CorrelationFilter`]
-//!   handed to the shared miners, so A-HTPGM composes with every
-//!   execution axis: parallel ([`mine_approximate_parallel`]), streaming
-//!   ([`mine_approximate_with_sink`],
-//!   [`mine_approximate_graph_with_sink`]) and sharded candidate-exchange
-//!   ([`mine_approximate_sharded_exchange`],
-//!   [`ShardPlan::mine_approximate_exchange_into`]) — each yielding the
+//!   graph (`ftpm_mi::CorrelationGraph`, built by the caller) before
+//!   running HTPGM. The graph becomes a [`CorrelationFilter`] handed to
+//!   the shared miners, so A-HTPGM composes with every execution axis:
+//!   threads and streaming ([`mine_approximate_graph_with_sink`]) and
+//!   sharded candidate-exchange
+//!   ([`ShardPlan::mine_approximate_exchange_into`]) — each yielding the
 //!   identical pattern set;
 //! * [`mine_reference`] — a brute-force miner used as a correctness
 //!   oracle in tests and to study the patterns A-HTPGM prunes (Fig 8);
@@ -27,9 +26,11 @@
 //!   and [`mine_exact_parallel_with_sink`] emit each finished pattern-graph
 //!   node into a sink instead of materializing a result `Vec`. Every
 //!   unsharded entry point runs the same mining loop; one thread is its
-//!   degenerate case;
-//! * [`ShardPlanner`] / [`mine_sharded_exchange`] /
-//!   [`ShardPlan::mine_exchange_into`] — shard-by-time-range mining
+//!   degenerate case. The collecting forms ([`mine_exact`],
+//!   [`mine_exact_parallel`], [`mine_approximate`]) are these sink
+//!   primitives run into a [`CollectSink`];
+//! * [`ShardPlanner`] / [`ShardPlan::mine_exchange_into`] /
+//!   [`ShardPlan::mine_exchange`] — shard-by-time-range mining
 //!   through the two-phase candidate-exchange executor: K overlapping
 //!   time-range slices (`t_ov = t_max`, the Fig 3 lemma one level up) run
 //!   concurrently and propose level-`k` candidates with owned supports, a
@@ -79,9 +80,7 @@ mod sink;
 
 pub use approx::{
     correlation_filter, event_indicator_database, mine_approximate, mine_approximate_event_level,
-    mine_approximate_graph_with_sink, mine_approximate_parallel,
-    mine_approximate_parallel_with_sink, mine_approximate_with_density,
-    mine_approximate_with_sink, ApproxOutcome,
+    mine_approximate_graph_with_sink,
 };
 pub use candidates::CorrelationFilter;
 pub use config::{MinerConfig, PruningConfig};
@@ -99,8 +98,5 @@ pub use reference::{mine_reference, mine_reference_filtered};
 pub use result::{FrequentPattern, MiningResult, MiningStats};
 pub use schedule::{ExploreStats, Explorer, Schedule};
 pub use executor::ShardReport;
-pub use shard::{
-    mine_approximate_sharded_exchange, mine_sharded_exchange, Shard, ShardPlan, ShardPlanner,
-    ShardedMining,
-};
+pub use shard::{Shard, ShardPlan, ShardPlanner};
 pub use sink::{CollectSink, CountingSink, CsvSink, JsonlSink, PatternSink};

@@ -180,7 +180,6 @@ impl ShardPlanner {
             shards,
             registry,
             n_windows,
-            t_ov,
         })
     }
 }
@@ -210,7 +209,6 @@ pub struct ShardPlan {
     registry: Arc<EventRegistry>,
     /// Global window count — the merged `|D_SEQ|`.
     n_windows: usize,
-    t_ov: i64,
 }
 
 impl ShardPlan {
@@ -223,7 +221,7 @@ impl ShardPlan {
     /// The master registry as a shareable handle (no deep clone) — the
     /// merge accumulator and the shard databases all hold this same
     /// allocation.
-    pub fn shared_registry(&self) -> Arc<EventRegistry> {
+    pub(crate) fn shared_registry(&self) -> Arc<EventRegistry> {
         Arc::clone(&self.registry)
     }
 
@@ -237,17 +235,11 @@ impl ShardPlan {
         self.n_windows
     }
 
-    /// The shard-slice overlap in ticks.
-    pub fn t_ov(&self) -> i64 {
-        self.t_ov
-    }
-
-    /// Mines the plan through the two-phase candidate-exchange executor
-    /// (see [`crate::executor`]): shards run *concurrently*, propose
-    /// level-`k` candidates with owned supports, and only candidates
-    /// passing the global σ/δ gate are grown to level `k + 1`. The
-    /// merged output is identical to the unsharded
-    /// [`crate::mine_exact`]; per-shard candidate and timing
+    /// Mines the plan through the two-phase candidate-exchange executor:
+    /// shards run *concurrently*, propose level-`k` candidates with owned
+    /// supports, and only candidates passing the global σ/δ gate are
+    /// grown to level `k + 1`. The merged output is identical to the
+    /// unsharded [`crate::mine_exact`]; per-shard candidate and timing
     /// observability comes back as [`ShardReport`]s.
     ///
     /// `threads` is the total worker budget, split between concurrent
@@ -289,83 +281,4 @@ impl ShardPlan {
         let filter = crate::approx::correlation_filter(graph, &self.registry);
         mine_exchange_internal(self, cfg, threads, Some(&filter), sink, None)
     }
-
-    /// Like [`ShardPlan::mine_approximate_exchange_into`], collecting
-    /// into a [`MiningResult`] (expressed in [`ShardPlan::registry`]).
-    pub fn mine_approximate_exchange(
-        &self,
-        graph: &CorrelationGraph,
-        cfg: &MinerConfig,
-        threads: usize,
-    ) -> (MiningResult, Vec<ShardReport>) {
-        let mut sink = CollectSink::new();
-        let (stats, reports) = self.mine_approximate_exchange_into(graph, cfg, threads, &mut sink);
-        (sink.into_result(stats), reports)
-    }
-
-    /// Packages a merged `result` of this plan with its master registry.
-    fn into_mining(self, result: MiningResult) -> ShardedMining {
-        ShardedMining {
-            result,
-            shards: self.shards.len(),
-            registry: self.registry,
-            t_ov: self.t_ov,
-        }
-    }
-}
-
-/// The result of [`mine_sharded_exchange`] and
-/// [`mine_approximate_sharded_exchange`]: the merged mining result plus the
-/// master registry its event ids refer to (shard slices intern events in
-/// their own orders, so the caller's registry does not apply).
-#[derive(Debug)]
-pub struct ShardedMining {
-    /// The merged, globally-thresholded result.
-    pub result: MiningResult,
-    /// The registry [`ShardedMining::result`] is expressed in (shared
-    /// with the plan's shard databases, not a deep clone).
-    pub registry: Arc<EventRegistry>,
-    /// Number of shards actually mined (≤ the requested count).
-    pub shards: usize,
-    /// Shard-slice overlap in ticks (`t_max` of the miner config).
-    pub t_ov: i64,
-}
-
-/// One-call sharded mining through the two-phase candidate-exchange
-/// executor (concurrent shards, global apriori gate between levels —
-/// see [`crate::executor`]), with `t_ov = cfg.relation.t_max`. Output
-/// equals the unsharded [`crate::mine_exact`] run on the same split — by
-/// label, support, confidence and clipped-occurrence count — for every
-/// [`ftpm_events::BoundaryPolicy`] (for `TrueExtent` this needs the
-/// `t_ov = t_max` pad, which is why the overlap is taken from the
-/// config's `t_max`); the [`ShardReport`]s expose
-/// how many candidates each shard proposed and how many the gate pruned.
-pub fn mine_sharded_exchange(
-    syb: &SymbolicDatabase,
-    split: SplitConfig,
-    cfg: &MinerConfig,
-    shards: usize,
-    threads: usize,
-) -> Result<(ShardedMining, Vec<ShardReport>), String> {
-    let plan = ShardPlanner::new(shards).plan(syb, split, cfg.relation.t_max)?;
-    let (result, reports) = plan.mine_exchange(cfg, threads);
-    Ok((plan.into_mining(result), reports))
-}
-
-/// One-call approximate sharded mining through the candidate-exchange
-/// executor: builds the plan, mines every shard under the caller's
-/// globally-built correlation `graph` (the MI edge gate applies at
-/// propose time), and merges. Output equals the unsharded
-/// [`crate::mine_approximate`] run with the same graph exactly.
-pub fn mine_approximate_sharded_exchange(
-    syb: &SymbolicDatabase,
-    split: SplitConfig,
-    graph: &CorrelationGraph,
-    cfg: &MinerConfig,
-    shards: usize,
-    threads: usize,
-) -> Result<(ShardedMining, Vec<ShardReport>), String> {
-    let plan = ShardPlanner::new(shards).plan(syb, split, cfg.relation.t_max)?;
-    let (result, reports) = plan.mine_approximate_exchange(graph, cfg, threads);
-    Ok((plan.into_mining(result), reports))
 }

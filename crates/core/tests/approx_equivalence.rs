@@ -17,12 +17,13 @@
 use std::collections::HashMap;
 
 use ftpm_core::{
-    correlation_filter, mine_approximate, mine_approximate_parallel,
-    mine_approximate_sharded_exchange, mine_approximate_with_density, mine_reference_filtered,
-    MinerConfig, MiningResult, ShardPlanner,
+    correlation_filter, mine_approximate, mine_approximate_graph_with_sink,
+    mine_reference_filtered, CollectSink, MinerConfig, MiningResult, ShardPlan, ShardPlanner,
+    ShardReport,
 };
 use ftpm_events::{
-    to_sequence_database, BoundaryPolicy, EventRegistry, RelationConfig, SplitConfig,
+    to_sequence_database, BoundaryPolicy, EventRegistry, RelationConfig, SequenceDatabase,
+    SplitConfig,
 };
 use ftpm_mi::{mu_for_density, CorrelationGraph};
 use ftpm_timeseries::{Alphabet, SymbolId, SymbolicDatabase, SymbolicSeries, VariableId};
@@ -91,6 +92,36 @@ fn assert_equivalent(base: &Labelled, other: &Labelled, context: &str) {
     assert_eq!(base.len(), other.len(), "{context}: fabricated patterns");
 }
 
+/// `threads`-worker A-HTPGM under `graph`, collected into a result.
+fn approx_parallel(
+    seq: &SequenceDatabase,
+    graph: &CorrelationGraph,
+    cfg: &MinerConfig,
+    threads: usize,
+) -> MiningResult {
+    let mut sink = CollectSink::new();
+    let stats = mine_approximate_graph_with_sink(seq, graph, cfg, threads, &mut sink);
+    sink.into_result(stats)
+}
+
+/// A-HTPGM under `graph` over a `shards`-way candidate-exchange plan with
+/// `t_ov = t_max`; the result is expressed in `plan.registry()`.
+fn approx_exchange(
+    syb: &SymbolicDatabase,
+    split: SplitConfig,
+    graph: &CorrelationGraph,
+    cfg: &MinerConfig,
+    shards: usize,
+    threads: usize,
+) -> (ShardPlan, MiningResult, Vec<ShardReport>) {
+    let plan = ShardPlanner::new(shards)
+        .plan(syb, split, cfg.relation.t_max)
+        .expect("plan");
+    let mut sink = CollectSink::new();
+    let (stats, reports) = plan.mine_approximate_exchange_into(graph, cfg, threads, &mut sink);
+    (plan, sink.into_result(stats), reports)
+}
+
 fn policy_cfg(sigma: f64, delta: f64, t_max: i64, policy: BoundaryPolicy) -> MinerConfig {
     MinerConfig::new(sigma, delta)
         .with_max_events(3)
@@ -111,36 +142,34 @@ fn check_compositions(
     context: &str,
 ) {
     let seq = to_sequence_database(syb, split);
-    let base = mine_approximate(syb, &seq, mu, cfg);
-    let base_l = labelled(&base.result, seq.registry());
+    let graph = CorrelationGraph::build(syb, mu);
+    let base = mine_approximate(&seq, &graph, cfg);
+    let base_l = labelled(&base, seq.registry());
 
-    let par = mine_approximate_parallel(syb, &seq, mu, cfg, threads);
+    let par = approx_parallel(&seq, &graph, cfg, threads);
     assert_equivalent(
         &base_l,
-        &labelled(&par.result, seq.registry()),
+        &labelled(&par, seq.registry()),
         &format!("{context} [parallel]"),
     );
     assert_eq!(
-        base.result.frequent_events.len(),
-        par.result.frequent_events.len(),
+        base.frequent_events.len(),
+        par.frequent_events.len(),
         "{context}: parallel L1 count"
     );
 
-    let graph = CorrelationGraph::build(syb, mu);
-    let (exchanged, reports) =
-        mine_approximate_sharded_exchange(syb, split, &graph, cfg, shards, threads)
-            .unwrap_or_else(|e| panic!("{context}: exchange plan failed: {e}"));
+    let (plan, exchanged, reports) = approx_exchange(syb, split, &graph, cfg, shards, threads);
     assert_equivalent(
         &base_l,
-        &labelled(&exchanged.result, &exchanged.registry),
+        &labelled(&exchanged, plan.registry()),
         &format!("{context} [sharded exchange]"),
     );
     assert_eq!(
-        base.result.frequent_events.len(),
-        exchanged.result.frequent_events.len(),
+        base.frequent_events.len(),
+        exchanged.frequent_events.len(),
         "{context}: exchange L1 count"
     );
-    assert_eq!(reports.len(), exchanged.shards);
+    assert_eq!(reports.len(), plan.shards().len());
     for r in &reports {
         assert!(
             r.candidates_pruned <= r.candidates_proposed,
@@ -185,16 +214,17 @@ fn density_parameterization_matches_explicit_mu() {
     let cfg = policy_cfg(0.2, 0.2, 20, BoundaryPolicy::TrueExtent);
     for density in [0.3, 0.6, 0.9] {
         let mu = mu_for_density(&syb, density);
-        let by_density = mine_approximate_with_density(&syb, &seq, density, &cfg);
-        let by_mu = mine_approximate(&syb, &seq, mu, &cfg);
+        let graph = CorrelationGraph::build_with_density(&syb, density);
+        let by_density = mine_approximate(&seq, &graph, &cfg);
+        let by_mu = mine_approximate(&seq, &CorrelationGraph::build(&syb, mu), &cfg);
         assert!(
-            (by_density.mu - mu).abs() < 1e-12,
+            (graph.mu() - mu).abs() < 1e-12,
             "density {density} resolved to mu {} not {mu}",
-            by_density.mu
+            graph.mu()
         );
         assert_equivalent(
-            &labelled(&by_mu.result, seq.registry()),
-            &labelled(&by_density.result, seq.registry()),
+            &labelled(&by_mu, seq.registry()),
+            &labelled(&by_density, seq.registry()),
             &format!("density {density}"),
         );
     }
@@ -213,14 +243,14 @@ fn reference_oracle_agrees_under_the_same_filter() {
     let graph = CorrelationGraph::build(&syb, mu);
     let filter = correlation_filter(&graph, seq.registry());
     let oracle = mine_reference_filtered(&seq, &cfg, Some(&filter));
-    let approx = mine_approximate(&syb, &seq, mu, &cfg);
+    let approx = mine_approximate(&seq, &graph, &cfg);
     assert_equivalent(
-        &labelled(&approx.result, seq.registry()),
+        &labelled(&approx, seq.registry()),
         &labelled(&oracle, seq.registry()),
         "reference oracle",
     );
     assert_eq!(
-        approx.result.frequent_events.len(),
+        approx.frequent_events.len(),
         oracle.frequent_events.len(),
         "oracle L1 count"
     );
@@ -245,7 +275,9 @@ fn mi_at_propose_beats_post_hoc_filtering_on_the_energy_demo() {
         .expect("plan");
 
     let (exact_result, exact_reports) = plan.mine_exchange(&cfg, 1);
-    let (approx_result, approx_reports) = plan.mine_approximate_exchange(&graph, &cfg, 1);
+    let mut sink = CollectSink::new();
+    let (stats, approx_reports) = plan.mine_approximate_exchange_into(&graph, &cfg, 1, &mut sink);
+    let approx_result = sink.into_result(stats);
 
     let exact_total: usize = exact_reports.iter().map(|r| r.candidates_proposed).sum();
     let approx_total: usize = approx_reports.iter().map(|r| r.candidates_proposed).sum();
@@ -331,18 +363,17 @@ mod prop {
             let mu = mu_for_density(&syb, density);
             let seq = to_sequence_database(&syb, split);
             let base = labelled(
-                &mine_approximate_with_density(&syb, &seq, density, &cfg).result,
-                seq.registry(),
-            );
-            let par = labelled(
-                &mine_approximate_parallel(&syb, &seq, mu, &cfg, 2).result,
+                &mine_approximate(
+                    &seq,
+                    &CorrelationGraph::build_with_density(&syb, density),
+                    &cfg,
+                ),
                 seq.registry(),
             );
             let graph = CorrelationGraph::build(&syb, mu);
-            let (exchanged, _) =
-                mine_approximate_sharded_exchange(&syb, split, &graph, &cfg, shards, 1)
-                    .expect("plan");
-            let em = labelled(&exchanged.result, &exchanged.registry);
+            let par = labelled(&approx_parallel(&seq, &graph, &cfg, 2), seq.registry());
+            let (plan, exchanged, _) = approx_exchange(&syb, split, &graph, &cfg, shards, 1);
+            let em = labelled(&exchanged, plan.registry());
             for (label, (supp, conf, clipped)) in &base {
                 for (name, m) in [("parallel", &par), ("exchange", &em)] {
                     let (s, c, cl) = m.get(label).unwrap_or_else(|| {

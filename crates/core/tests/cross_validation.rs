@@ -12,6 +12,7 @@ use ftpm_core::{
 };
 use ftpm_datagen::random_sequence_database;
 use ftpm_events::RelationConfig;
+use ftpm_mi::CorrelationGraph;
 
 fn as_map(result: &MiningResult) -> HashMap<Pattern, (usize, f64)> {
     result
@@ -174,9 +175,9 @@ fn approximate_is_subset_of_exact() {
     let cfg = MinerConfig::new(0.3, 0.3).with_max_events(3);
     let exact = mine_exact(&data.seq, &cfg);
     for mu in [0.2, 0.5, 0.8] {
-        let approx = mine_approximate(&data.syb, &data.seq, mu, &cfg);
+        let approx = mine_approximate(&data.seq, &CorrelationGraph::build(&data.syb, mu), &cfg);
         let exact_keys = exact.pattern_keys();
-        for p in &approx.result.patterns {
+        for p in &approx.patterns {
             assert!(
                 exact_keys.contains(&p.pattern),
                 "mu={mu}: approximate found pattern not in exact output"
@@ -196,8 +197,8 @@ fn approximate_accuracy_monotone_in_mu() {
     // are graph-density targets, i.e. the opposite axis direction.)
     let mut prev = -1.0f64;
     for mu in [0.8, 0.5, 0.2, 0.01] {
-        let approx = mine_approximate(&data.syb, &data.seq, mu, &cfg);
-        let acc = approx.result.accuracy_against(&exact);
+        let approx = mine_approximate(&data.seq, &CorrelationGraph::build(&data.syb, mu), &cfg);
+        let acc = approx.accuracy_against(&exact);
         assert!(
             acc >= prev - 1e-12,
             "accuracy should not drop as mu decreases: mu={mu} acc={acc} prev={prev}"
@@ -205,8 +206,9 @@ fn approximate_accuracy_monotone_in_mu() {
         prev = acc;
     }
     // With a negligible mu every variable pair is correlated: exact match.
-    let approx = mine_approximate(&data.syb, &data.seq, 1e-12_f64.max(f64::MIN_POSITIVE), &cfg);
-    assert_eq!(approx.result.len(), exact.len());
+    let graph = CorrelationGraph::build(&data.syb, 1e-12_f64.max(f64::MIN_POSITIVE));
+    let approx = mine_approximate(&data.seq, &graph, &cfg);
+    assert_eq!(approx.len(), exact.len());
 }
 
 #[test]
@@ -275,7 +277,7 @@ fn event_level_approximate_is_subset_of_exact() {
     let exact_keys = exact.pattern_keys();
     for mu in [0.1, 0.4, 0.7] {
         let approx = mine_approximate_event_level(&data.syb, &data.seq, mu, &cfg);
-        for p in &approx.result.patterns {
+        for p in &approx.patterns {
             assert!(
                 exact_keys.contains(&p.pattern),
                 "mu={mu}: event-level approx invented a pattern"

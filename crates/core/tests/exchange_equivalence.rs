@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use ftpm_core::{mine_exact, mine_sharded_exchange, MinerConfig, MiningResult, ShardPlanner};
+use ftpm_core::{mine_exact, MinerConfig, MiningResult, ShardPlanner};
 use ftpm_events::{
     to_sequence_database, BoundaryPolicy, EventRegistry, RelationConfig, SplitConfig,
 };
@@ -95,11 +95,13 @@ fn check_exchange(
 ) {
     let seq = to_sequence_database(syb, split);
     let base = mine_exact(&seq, cfg);
-    let (exchange, reports) = mine_sharded_exchange(syb, split, cfg, shards, threads)
+    let plan = ShardPlanner::new(shards)
+        .plan(syb, split, cfg.relation.t_max)
         .unwrap_or_else(|e| panic!("{context}: exchange plan failed: {e}"));
+    let (exchange, reports) = plan.mine_exchange(cfg, threads);
     assert_equivalent(
         &labelled(&base, seq.registry()),
-        &labelled(&exchange.result, &exchange.registry),
+        &labelled(&exchange, plan.registry()),
         &format!("{context} [exchange]"),
     );
     // L1 and boundary observability agree too.
@@ -109,18 +111,17 @@ fn check_exchange(
         .map(|&(e, s)| (seq.registry().label(e), s))
         .collect();
     let exchange_l1: HashMap<&str, usize> = exchange
-        .result
         .frequent_events
         .iter()
-        .map(|&(e, s)| (exchange.registry.label(e), s))
+        .map(|&(e, s)| (plan.registry().label(e), s))
         .collect();
     assert_eq!(base_l1, exchange_l1, "{context}: L1 events");
     assert_eq!(
-        base.stats.clipped_instances, exchange.result.stats.clipped_instances,
+        base.stats.clipped_instances, exchange.stats.clipped_instances,
         "{context}: clipped_instances"
     );
     assert_eq!(
-        base.stats.discarded_instances, exchange.result.stats.discarded_instances,
+        base.stats.discarded_instances, exchange.stats.discarded_instances,
         "{context}: discarded_instances"
     );
     // Ownership partitions the window space.
@@ -299,9 +300,11 @@ mod prop {
                 );
             let seq = to_sequence_database(&syb, split);
             let base = labelled(&mine_exact(&seq, &cfg), seq.registry());
-            let (exchange, _) =
-                mine_sharded_exchange(&syb, split, &cfg, shards, 1).expect("plan");
-            let em = labelled(&exchange.result, &exchange.registry);
+            let plan = ShardPlanner::new(shards)
+                .plan(&syb, split, cfg.relation.t_max)
+                .expect("plan");
+            let (exchange, _) = plan.mine_exchange(&cfg, 1);
+            let em = labelled(&exchange, plan.registry());
             for (label, (supp, conf, clipped)) in &base {
                 let (s, c, cl) = em
                     .get(label)

@@ -1,5 +1,5 @@
 //! Shard-by-time-range mining must be lossless: for any data, any split,
-//! and any shard count, the merged output of `mine_sharded_exchange`
+//! and any shard count, the merged output of `ShardPlan::mine_exchange`
 //! (shards cut with `t_ov = t_max`, each mining its own slice) equals
 //! the unsharded `mine_exact` baseline on the same split — same pattern
 //! labels, supports, confidences and clipped-occurrence counts. Event ids
@@ -8,9 +8,7 @@
 
 use std::collections::HashMap;
 
-use ftpm_core::{
-    mine_exact, mine_sharded_exchange, MinerConfig, MiningResult, ShardPlanner, ShardedMining,
-};
+use ftpm_core::{mine_exact, MinerConfig, MiningResult, ShardPlan, ShardPlanner};
 use ftpm_events::{
     to_sequence_database, BoundaryPolicy, EventRegistry, RelationConfig, SplitConfig,
 };
@@ -84,14 +82,17 @@ fn assert_equivalent(base: &Labelled, sharded: &Labelled, context: &str) {
     );
 }
 
-/// The sharded run under test: candidate exchange on one thread.
+/// The sharded run under test: candidate exchange on one thread over a
+/// `t_ov = t_max` plan; the result is expressed in `plan.registry()`.
 fn sharded_run(
     syb: &SymbolicDatabase,
     split: SplitConfig,
     cfg: &MinerConfig,
     shards: usize,
-) -> Result<ShardedMining, String> {
-    mine_sharded_exchange(syb, split, cfg, shards, 1).map(|(sharded, _)| sharded)
+) -> Result<(ShardPlan, MiningResult), String> {
+    let plan = ShardPlanner::new(shards).plan(syb, split, cfg.relation.t_max)?;
+    let (result, _) = plan.mine_exchange(cfg, 1);
+    Ok((plan, result))
 }
 
 fn check(
@@ -103,11 +104,11 @@ fn check(
 ) {
     let seq = to_sequence_database(syb, split);
     let base = mine_exact(&seq, cfg);
-    let sharded = sharded_run(syb, split, cfg, shards)
+    let (plan, sharded) = sharded_run(syb, split, cfg, shards)
         .unwrap_or_else(|e| panic!("{context}: plan failed: {e}"));
     assert_equivalent(
         &labelled(&base, seq.registry()),
-        &labelled(&sharded.result, &sharded.registry),
+        &labelled(&sharded, plan.registry()),
         context,
     );
     // Frequent single events agree too (by label).
@@ -117,19 +118,18 @@ fn check(
         .map(|&(e, s)| (seq.registry().label(e), s))
         .collect();
     let sharded_l1: HashMap<&str, usize> = sharded
-        .result
         .frequent_events
         .iter()
-        .map(|&(e, s)| (sharded.registry.label(e), s))
+        .map(|&(e, s)| (plan.registry().label(e), s))
         .collect();
     assert_eq!(base_l1, sharded_l1, "{context}: L1 events");
     // Boundary observability survives the merge.
     assert_eq!(
-        base.stats.clipped_instances, sharded.result.stats.clipped_instances,
+        base.stats.clipped_instances, sharded.stats.clipped_instances,
         "{context}: clipped_instances"
     );
     assert_eq!(
-        base.stats.discarded_instances, sharded.result.stats.discarded_instances,
+        base.stats.discarded_instances, sharded.stats.discarded_instances,
         "{context}: discarded_instances"
     );
 }
@@ -147,20 +147,17 @@ fn k1_degenerate_case_matches_mine_exact_bit_for_bit() {
     let cfg = true_extent_cfg(20);
     let seq = to_sequence_database(&syb, split);
     let base = mine_exact(&seq, &cfg);
-    let sharded = sharded_run(&syb, split, &cfg, 1).expect("plan");
-    assert_eq!(sharded.shards, 1);
+    let (plan, sharded) = sharded_run(&syb, split, &cfg, 1).expect("plan");
+    assert_eq!(plan.shards().len(), 1);
     // One shard covering everything: identical content (the merge emits
     // in sorted order, so compare as maps plus exact counts).
-    assert_eq!(base.len(), sharded.result.len(), "pattern count");
+    assert_eq!(base.len(), sharded.len(), "pattern count");
     assert_equivalent(
         &labelled(&base, seq.registry()),
-        &labelled(&sharded.result, &sharded.registry),
+        &labelled(&sharded, plan.registry()),
         "K=1",
     );
-    assert_eq!(
-        base.frequent_events.len(),
-        sharded.result.frequent_events.len()
-    );
+    assert_eq!(base.frequent_events.len(), sharded.frequent_events.len());
 }
 
 #[test]
@@ -222,10 +219,10 @@ fn tied_instances_bind_in_the_global_intern_order() {
         "baseline must bind the tie as {tied}: {base:?}"
     );
     for shards in [2usize, 4] {
-        let sharded = sharded_run(&syb, split, &cfg, shards).expect("plan");
+        let (plan, sharded) = sharded_run(&syb, split, &cfg, shards).expect("plan");
         assert_equivalent(
             &base,
-            &labelled(&sharded.result, &sharded.registry),
+            &labelled(&sharded, plan.registry()),
             &format!("tied instances K={shards}"),
         );
     }
@@ -334,10 +331,10 @@ mod prop {
                 );
             let seq = to_sequence_database(&syb, split);
             let base = mine_exact(&seq, &cfg);
-            let sharded = sharded_run(&syb, split, &cfg, shards).expect("plan");
+            let (plan, sharded) = sharded_run(&syb, split, &cfg, shards).expect("plan");
             let (bm, sm) = (
                 labelled(&base, seq.registry()),
-                labelled(&sharded.result, &sharded.registry),
+                labelled(&sharded, plan.registry()),
             );
             for (label, (supp, conf, clipped)) in &bm {
                 let (s, c, cl) = sm

@@ -85,12 +85,12 @@ OPTIONS:
                      [default: unconstrained]
   --threshold F      On/Off symbolization threshold       [default 0.05]
   --states N         use N quantile states instead of On/Off
-  --mu F             A-HTPGM with explicit NMI threshold; composes with
-                     --threads/--shards/--stream — same
+  --mu F             A-HTPGM with explicit NMI threshold in (0,1];
+                     composes with --threads/--shards/--stream — same
                      pattern set on every composition
-  --approx-density F A-HTPGM with correlation-graph density target
-                     (mutually exclusive with --mu)
-  --max-events N     cap pattern length                   [default 5]
+  --approx-density F A-HTPGM with correlation-graph density target in
+                     (0,1] (mutually exclusive with --mu)
+  --max-events N     cap pattern length, at least 2       [default 5]
   --threads N        worker threads                   [default: all cores]
   --shards K         shard-by-time-range mining: cut the data into K
                      time-range shards overlapping by t_max and mine them
@@ -114,8 +114,8 @@ LINT:
   rules R1-R6 (fused and_count usage, panic-free library crates,
   exhaustive BoundaryPolicy matches, unsafe confinement, checked sink
   writes, correlation-filter confinement) plus whole-program rules
-  R7-R10 over the workspace item graph (hot-path purity, facade
-  coverage, sink-seam discipline, concurrency confinement). Stale
+  R7, R9 and R10 over the workspace item graph (hot-path purity,
+  sink-seam discipline, concurrency confinement). Stale
   `// lint: allow(..)` markers are warnings (--strict-allows makes them
   errors). --root overrides workspace discovery; --json writes a
   machine-readable report. Exit codes: 0 clean, 2 violations found,
@@ -344,6 +344,20 @@ fn parse(args: &[String]) -> Result<Options, String> {
     }
     if !(opt.delta > 0.0 && opt.delta <= 1.0) {
         return Err(format!("--delta must be in (0, 1], got {}", opt.delta));
+    }
+    // The correlation-graph builders assert these domains (Defs 5.4 and
+    // 5.6); check them here so a bad value is a usage error, not a panic.
+    if let Some(mu) = opt.mu.filter(|&mu| !(mu > 0.0 && mu <= 1.0)) {
+        return Err(format!("--mu must be in (0, 1], got {mu}"));
+    }
+    if let Some(d) = opt.density.filter(|&d| !(d > 0.0 && d <= 1.0)) {
+        return Err(format!("--approx-density must be in (0, 1], got {d}"));
+    }
+    if opt.max_events < 2 {
+        return Err(format!(
+            "--max-events must be at least 2 (patterns have at least two events), got {}",
+            opt.max_events
+        ));
     }
     if opt.stream && (opt.sort.is_some() || opt.top.is_some()) {
         return Err("--stream cannot sort or truncate; drop --sort/--top".into());
@@ -645,7 +659,7 @@ fn try_mine(args: &[String]) -> Result<(), String> {
         relation = relation.with_t_max(t_max);
     }
     let cfg = MinerConfig::new(opt.sigma, opt.delta)
-        .with_max_events(opt.max_events.max(2))
+        .with_max_events(opt.max_events)
         .with_relation(relation);
     let threads = opt.threads;
     // One correlation graph per run, built once on the full symbolic

@@ -18,7 +18,7 @@ use ftpm_timeseries::TimeSeries;
 /// # Errors
 ///
 /// Returns a human-readable message on any structural problem (ragged
-/// rows, non-numeric cells, irregular timestamps).
+/// rows, non-numeric or non-finite cells, irregular timestamps).
 pub fn parse_csv(text: &str) -> Result<Vec<TimeSeries>, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header = lines.next().ok_or("empty csv")?;
@@ -40,10 +40,14 @@ pub fn parse_csv(text: &str) -> Result<Vec<TimeSeries>, String> {
             let f = fields
                 .next()
                 .ok_or_else(|| format!("line {row}: missing value for {name}"))?;
-            column.push(
-                f.parse::<f64>()
-                    .map_err(|e| format!("line {row}: bad value {f:?}: {e}"))?,
-            );
+            let v = f
+                .parse::<f64>()
+                .map_err(|e| format!("line {row}: bad value {f:?}: {e}"))?;
+            // NaN/inf parse as f64 but no symbolizer can place them.
+            if !v.is_finite() {
+                return Err(format!("line {row}: non-finite value {f:?} for {name}"));
+            }
+            column.push(v);
         }
         if fields.next().is_some() {
             return Err(format!("line {row}: too many fields"));
@@ -105,6 +109,11 @@ mod tests {
     fn rejects_non_numeric_cells() {
         let err = parse_csv("time,a\n0,x\n5,1\n").unwrap_err();
         assert!(err.contains("bad value"), "{err}");
+        // NaN and infinities parse as f64 but are not measurements.
+        for cell in ["NaN", "inf", "-inf"] {
+            let err = parse_csv(&format!("time,a\n0,1\n5,{cell}\n")).unwrap_err();
+            assert!(err.contains("line 3: non-finite value"), "{err}");
+        }
     }
 
     #[test]

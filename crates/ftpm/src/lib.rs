@@ -11,7 +11,8 @@
 //! | symbols → event sequences | `ftpm-events` | [`to_sequence_database`], [`SplitConfig`], [`SequenceDatabase`] |
 //! | exact mining | `ftpm-core` | [`mine_exact`], [`mine_exact_parallel`], [`MinerConfig`] |
 //! | streaming output | `ftpm-core` | [`PatternSink`], [`mine_exact_with_sink`], [`CsvSink`], [`JsonlSink`] |
-//! | MI-approximate mining | `ftpm-core` + `ftpm-mi` | [`mine_approximate`], [`mine_approximate_parallel`], [`mine_approximate_sharded_exchange`], [`CorrelationGraph`], [`confidence_lower_bound`] |
+//! | MI-approximate mining | `ftpm-core` + `ftpm-mi` | [`CorrelationGraph`], [`mine_approximate`], [`mine_approximate_graph_with_sink`], [`confidence_lower_bound`] |
+//! | sharded mining | `ftpm-core` | [`ShardPlanner`], [`ShardPlan::mine_exchange`], [`ShardPlan::mine_approximate_exchange_into`] |
 //! | baselines | `ftpm-baselines` | [`mine_tpminer`], [`mine_ieminer`], [`mine_hdfs`] |
 //! | synthetic data | `ftpm-datagen` | [`nist_like`], [`smartcity_like`], … |
 //!
@@ -46,20 +47,7 @@ mod csv;
 pub use csv::parse_csv;
 pub use ftpm_baselines::{mine_hdfs, mine_ieminer, mine_tpminer};
 pub use ftpm_bitmap::Bitmap;
-pub use ftpm_core::{
-    closed_patterns, correlation_filter, event_indicator_database, maximal_patterns,
-    pattern_lift, rank_patterns, top_k_by_lift, mine_approximate,
-    mine_approximate_event_level, mine_approximate_graph_with_sink, mine_approximate_parallel,
-    mine_approximate_parallel_with_sink, mine_approximate_sharded_exchange,
-    mine_approximate_with_density, mine_approximate_with_sink, mine_exact, mine_exact_parallel,
-    mine_exact_parallel_with_sink, mine_exact_with_sink, mine_reference,
-    mine_reference_filtered, mine_sharded_exchange, ApproxOutcome, CollectSink,
-    CorrelationFilter, CountingSink, CsvSink, DatabaseIndex, ExploreStats, Explorer,
-    DeltaKey, EventsRev, FrequentPattern, HierarchicalPatternGraph, JsonlSink, Level,
-    MinerConfig, MiningResult, MiningStats, Node, Pattern, PatternId, PatternPool,
-    PatternSink, PatternSort, PruningConfig, Schedule, Shard, ShardMerge, ShardPlan,
-    ShardPlanner, ShardReport, ShardedMining,
-};
+pub use ftpm_core::*;
 pub use ftpm_datagen::{
     dataport_like, generate_city, generate_energy, nist_like, random_sequence_database,
     smartcity_like, ukdale_like, CityConfig, Dataset, EnergyConfig,

@@ -62,16 +62,18 @@ fn main() {
     print!("{}", result.render(seq_db.registry()));
 
     // --- 4. The same, approximately ------------------------------------
-    let approx = mine_approximate_with_density(&syb, &seq_db, 0.4, &cfg);
+    // A-HTPGM = build the MI correlation graph, then mine under it.
+    let graph = CorrelationGraph::build_with_density(&syb, 0.4);
+    let approx = mine_approximate(&seq_db, &graph, &cfg);
     println!(
         "\nA-HTPGM at 40% graph density (mu = {:.2}): {} patterns, accuracy {:.0}%",
-        approx.mu,
-        approx.result.len(),
-        100.0 * approx.result.accuracy_against(&result)
+        graph.mu(),
+        approx.len(),
+        100.0 * approx.accuracy_against(&result)
     );
     println!(
         "correlation graph kept {} of {} possible edges",
-        approx.graph.n_edges(),
+        graph.n_edges(),
         syb.n_variables() * (syb.n_variables() - 1) / 2
     );
 }

@@ -158,13 +158,13 @@ fn approximate_on_paper_example_matches_exact_at_full_density()
     let exact = mine_exact(&seq_db, &cfg);
     // Keep every positively-correlated edge: accuracy should be perfect
     // on this tiny example because all of K,T,M,C correlate.
-    let approx = mine_approximate(&syb, &seq_db, 1e-6, &cfg);
-    assert_eq!(approx.result.len(), exact.len());
+    let approx = mine_approximate(&seq_db, &CorrelationGraph::build(&syb, 1e-6), &cfg);
+    assert_eq!(approx.len(), exact.len());
     // And a high threshold prunes patterns but never invents them.
-    let strict = mine_approximate(&syb, &seq_db, 0.42, &cfg);
-    assert!(strict.result.len() <= exact.len());
+    let strict = mine_approximate(&seq_db, &CorrelationGraph::build(&syb, 0.42), &cfg);
+    assert!(strict.len() <= exact.len());
     let exact_keys = exact.pattern_keys();
-    for p in &strict.result.patterns {
+    for p in &strict.patterns {
         assert!(exact_keys.contains(&p.pattern));
     }
 }

@@ -62,8 +62,46 @@ fn quickstart_pipeline_end_to_end() {
 
     // Mine approximately; A-HTPGM searches a subgraph, so it can only
     // return a subset of E-HTPGM's patterns.
-    let approx = mine_approximate_with_density(&syb, &seq_db, 0.4, &cfg);
-    assert!(approx.result.len() <= exact.len());
-    let accuracy = approx.result.accuracy_against(&exact);
+    let graph = CorrelationGraph::build_with_density(&syb, 0.4);
+    let approx = mine_approximate(&seq_db, &graph, &cfg);
+    assert!(approx.len() <= exact.len());
+    let accuracy = approx.accuracy_against(&exact);
     assert!((0.0..=1.0).contains(&accuracy));
+}
+
+/// Bad CLI input is a usage error — exit 1 with a message naming the
+/// flag or the CSV line — never a panic (exit 101).
+#[test]
+fn cli_rejects_out_of_range_input_without_panicking() {
+    use std::process::Command;
+
+    let csv = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("smoke_non_finite.csv");
+    std::fs::write(&csv, "time,a,b\n0,1,0\n5,NaN,1\n10,0,1\n").expect("write temp csv");
+    let csv = csv.to_str().expect("utf-8 temp path");
+    let demo = ["mine", "--demo", "nist", "--scale", "0.01"];
+    let cases: [(Vec<&str>, &str); 5] = [
+        ([&demo[..], &["--mu", "0"]].concat(), "--mu"),
+        ([&demo[..], &["--mu", "1.5"]].concat(), "--mu"),
+        (
+            [&demo[..], &["--approx-density", "2"]].concat(),
+            "--approx-density",
+        ),
+        ([&demo[..], &["--max-events", "1"]].concat(), "--max-events"),
+        (
+            vec!["mine", "--input", csv, "--states", "3"],
+            "line 3: non-finite value",
+        ),
+    ];
+    for (args, needle) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_ftpm"))
+            .args(&args)
+            .output()
+            .expect("run ftpm");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.lines().any(|l| l.contains(needle)),
+            "{args:?}: stderr must name {needle:?}: {stderr}"
+        );
+    }
 }

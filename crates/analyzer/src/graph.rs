@@ -17,9 +17,12 @@
 //!   calls transitively reachable (depth ≤ [`R7_DEPTH`]) from the
 //!   declared hot set: the bitmap kernel module, `verify_pair`,
 //!   `grow_candidates`, every `BoundaryKernel` impl,
-//!   `OccArena::push_extend`, and the `PatternPool` interning family
+//!   `OccArena::push_extend`, the `PatternPool` interning family
 //!   (`intern*` — the merge/exchange hot path hits the pool once per
-//!   emission). Structural allocations (arena growth,
+//!   emission), and the writer sinks' per-row path (`CsvSink::node`,
+//!   `JsonlSink::node` — rows render from labels escaped once at
+//!   construction, so no per-pattern string may creep back in).
+//!   Structural allocations (arena growth,
 //!   bitmap construction) are the hot path's job; `format!`-family
 //!   strings, `Box::new` and stray `unwrap`s are not. Panic sites that
 //!   already carry a `lint: allow(panic, …)` contract are treated as
@@ -347,8 +350,10 @@ impl<'a> ItemGraph<'a> {
 
     /// The R7 hot set: bitmap kernel fns, the L2 verifier, the growth
     /// loop, the monomorphized boundary kernels, the arena's extend
-    /// path, and the pattern pool's interning family (once per emitted
-    /// pattern on the merge/exchange path).
+    /// path, the pattern pool's interning family (once per emitted
+    /// pattern on the merge/exchange path), and the writer sinks'
+    /// per-row path (`CsvSink::node`, `JsonlSink::node`, once per
+    /// emitted pattern under the shared-sink lock).
     fn hot_roots(&self) -> Vec<usize> {
         (0..self.fns.len())
             .filter(|&id| {
@@ -364,6 +369,8 @@ impl<'a> ItemGraph<'a> {
                     || (f.impl_type.as_deref() == Some("OccArena") && f.name == "push_extend")
                     || (f.impl_type.as_deref() == Some("PatternPool")
                         && f.name.starts_with("intern"))
+                    || (matches!(f.impl_type.as_deref(), Some("CsvSink" | "JsonlSink"))
+                        && f.name == "node")
             })
             .collect()
     }

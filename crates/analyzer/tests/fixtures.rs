@@ -103,6 +103,37 @@ fn every_rule_has_a_flagged_and_a_clean_fixture() {
     }
 }
 
+/// R7's hot set covers the writer sinks' per-row path: a per-row
+/// `to_string` in `CsvSink::node` and a `format!` in `JsonlSink::node`
+/// are both flagged, while rows appended from pre-escaped labels pass.
+#[test]
+fn r7_covers_writer_sink_rows() {
+    let flagged = run("r7_sink_flagged");
+    for (name, via) in [("to_string", "CsvSink"), ("format!", "JsonlSink")] {
+        assert!(
+            flagged.violations.iter().any(|v| v.rule == "R7/hot_path"
+                && v.file == "crates/core/src/sink.rs"
+                && v.message.contains(&format!("`{name}`"))),
+            "{via}::node must be flagged for `{name}`:\n{}",
+            render(&flagged)
+        );
+    }
+    assert!(
+        flagged.violations.iter().all(|v| v.rule == "R7/hot_path"),
+        "r7_sink_flagged must trip only R7:\n{}",
+        render(&flagged)
+    );
+
+    let clean = run("r7_sink_clean");
+    assert!(
+        clean.violations.is_empty()
+            && clean.warnings.is_empty()
+            && clean.internal_errors.is_empty(),
+        "r7_sink_clean must pass clean:\n{}",
+        render(&clean)
+    );
+}
+
 /// A suppression that fires nothing is reported — warning by default,
 /// violation under `--strict-allows` — so markers cannot outlive their
 /// reason.

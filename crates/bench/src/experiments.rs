@@ -11,7 +11,7 @@ use ftpm_core::{
 use ftpm_datagen::{dataport_like, nist_like, smartcity_like, ukdale_like, Dataset};
 use ftpm_mi::CorrelationGraph;
 
-use crate::alloc_track::measure_peak;
+use crate::alloc_track::{measure_allocs, measure_peak};
 use crate::util::{secs, time, Method, Opts, Report};
 
 fn config(sigma: f64, delta: f64, opts: &Opts) -> MinerConfig {
@@ -1239,6 +1239,13 @@ pub fn kernel_speedup(opts: &Opts) -> bool {
     and_count_ok
 }
 
+/// Allocations per emitted pattern that the `grow_allocs` row of
+/// [`intern_speedup`] may reach on its default demo (scale 0.01, max 3
+/// events): the 11.74 measured once the grow loop's candidate
+/// verification stopped allocating, plus about 25% headroom. (Before
+/// that change the same run made 28.13 per pattern.)
+const GROW_ALLOCS_PER_PATTERN_BOUND: f64 = 14.7;
+
 /// Hash-consed pattern-pool speedup gate (beyond the paper; ROADMAP
 /// "hash-consed pattern pool"): A/B of the merge accumulation hot path —
 /// the retired pattern-keyed design (clone every emitted [`ftpm_core::Pattern`]
@@ -1252,18 +1259,21 @@ pub fn kernel_speedup(opts: &Opts) -> bool {
 /// (`exchange_run_ms`) that CI tracks across runs. Timings are best-of-N
 /// minima (single shared CI core); allocation counts come from the
 /// tracking allocator and are exact.
+/// A last row counts, exactly, the allocations per emitted pattern of a
+/// 1-thread `mine_exact_with_sink` of the demo into a `CountingSink`
+/// (`grow_allocs_per_pattern`), gated on a fixed bound
+/// (`grow_allocs_bound`, `grow_allocs_ok`).
 /// Writes `results/intern_speedup.{csv,json}` and returns whether the
 /// pooled path beat the pattern-keyed path ≥ 1.3× on accumulation wall
 /// time, or cut its allocation count ≥ 5× (the CI gate — the allocation
-/// arm keeps the gate meaningful on a noisy one-core container).
+/// arm keeps the gate meaningful on a noisy one-core container), and
+/// the grow path stayed within its allocation bound.
 pub fn intern_speedup(opts: &Opts) -> bool {
     use std::collections::HashMap;
     use std::hint::black_box;
     use std::time::Instant;
 
     use ftpm_core::{Pattern, PatternPool, ShardPlanner};
-
-    use crate::alloc_track::measure_allocs;
 
     const SAMPLES: usize = 9;
     /// Simulated shard count: each distinct pattern is emitted once per
@@ -1367,14 +1377,44 @@ pub fn intern_speedup(opts: &Opts) -> bool {
         format!("{} s", secs(exchange_run)),
         "-".into(),
     ]);
+
+    // Allocation gate on the one mining loop's grow path: a 1-thread
+    // mine of the same demo into a CountingSink spawns nothing, so the
+    // tracking allocator's count is exact and deterministic.
+    let ((grow_stats, grow_patterns), grow_allocs) = measure_allocs(|| {
+        let mut sink = CountingSink::default();
+        let stats = mine_exact_with_sink(&data.seq, &cfg, &mut sink);
+        (stats, sink.patterns())
+    });
+    let grow_allocs_per_pattern = grow_allocs as f64 / grow_patterns.max(1) as f64;
+    let grow_allocs_ok = grow_allocs_per_pattern <= GROW_ALLOCS_PER_PATTERN_BOUND;
+    report.row(vec![
+        "grow_allocs".into(),
+        format!("{grow_patterns} patterns, 1 thread"),
+        "-".into(),
+        format!("{grow_allocs_per_pattern:.3} allocs/pattern"),
+        format!("bound {GROW_ALLOCS_PER_PATTERN_BOUND}"),
+    ]);
     report.finish();
     assert_eq!(
         exchange_out.0.len(),
         result.len(),
         "the exchange must agree with the unsharded miner on the demo"
     );
+    assert_eq!(
+        grow_stats.patterns_found.iter().sum::<usize>(),
+        result.len(),
+        "the counting mine must agree with the collecting one"
+    );
 
     let ok = speedup >= 1.3 || alloc_ratio >= 5.0;
+    if !ok {
+        eprintln!(
+            "intern gate FAILED: the pooled accumulator reached neither 1.3x \
+             wall-time nor 5x allocation improvement over the pattern-keyed \
+             reference"
+        );
+    }
     let json = format!(
         "{{\n  \"experiment\": \"intern_speedup\",\n  \"dataset\": \"{}\",\n  \
          \"scale\": {},\n  \"samples\": {SAMPLES},\n  \"shards\": {SHARDS},\n  \
@@ -1384,6 +1424,10 @@ pub fn intern_speedup(opts: &Opts) -> bool {
          \"keyed_allocs\": {keyed_allocs},\n  \"pooled_allocs\": {pooled_allocs},\n  \
          \"alloc_ratio\": {alloc_ratio:.3},\n  \
          \"exchange_run_ms\": {:.3},\n  \
+         \"grow_allocs\": {grow_allocs},\n  \
+         \"grow_allocs_per_pattern\": {grow_allocs_per_pattern:.6},\n  \
+         \"grow_allocs_bound\": {GROW_ALLOCS_PER_PATTERN_BOUND},\n  \
+         \"grow_allocs_ok\": {grow_allocs_ok},\n  \
          \"intern_speedup_ok\": {ok}\n}}\n",
         data.name,
         opts.scale,
@@ -1395,7 +1439,13 @@ pub fn intern_speedup(opts: &Opts) -> bool {
         Ok(()) => println!("wrote results/intern_speedup.json"),
         Err(e) => eprintln!("could not write results/intern_speedup.json: {e}"),
     }
-    ok
+    if !grow_allocs_ok {
+        eprintln!(
+            "grow allocation gate FAILED: {grow_allocs_per_pattern:.3} allocations per \
+             pattern, bound {GROW_ALLOCS_PER_PATTERN_BOUND}"
+        );
+    }
+    ok && grow_allocs_ok
 }
 
 fn scalability(name: &str, data: &Dataset, opts: &Opts, by_sequences: bool) {

@@ -121,6 +121,54 @@ impl Bitmap {
         Bitmap { words, len: self.len }
     }
 
+    /// Bitwise AND written into `out`, reusing its word allocation: the
+    /// allocation-free form of [`and`](Bitmap::and) for loops that build
+    /// one joint bitmap after another in the same scratch. `out` takes
+    /// `self`'s universe, whatever its previous length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the universes of `self` and `other` differ.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ftpm_bitmap::Bitmap;
+    ///
+    /// let a = Bitmap::from_indices(100, [3, 64, 99]);
+    /// let b = Bitmap::from_indices(100, [64, 99]);
+    /// let mut out = Bitmap::from_indices(7, [1, 6]);
+    /// a.and_into(&b, &mut out);
+    /// assert_eq!(out, a.and(&b));
+    /// ```
+    pub fn and_into(&self, other: &Bitmap, out: &mut Bitmap) {
+        // lint: allow(panic, documented # Panics contract: universes must match)
+        assert_eq!(self.len, other.len, "bitmap universe mismatch");
+        kernel::and_words(&self.words, &other.words, &mut out.words);
+        out.len = self.len;
+    }
+
+    /// Clears every bit and resizes the universe to `len`, keeping the
+    /// word allocation when it is large enough — equivalent to
+    /// `*self = Bitmap::new(len)` without the allocation.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ftpm_bitmap::Bitmap;
+    ///
+    /// let mut bm = Bitmap::from_indices(200, [5, 150]);
+    /// bm.reset(70);
+    /// assert_eq!(bm, Bitmap::new(70));
+    /// bm.set(69);
+    /// assert_eq!(bm.count_ones(), 1);
+    /// ```
+    pub fn reset(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), 0);
+        self.len = len;
+    }
+
     /// Fused AND + popcount: `self.and(other).count_ones()` without
     /// materializing the intermediate bitmap. This is the support of a
     /// candidate event combination (Alg. 1, line 8), and the Apriori
@@ -465,6 +513,31 @@ mod tests {
             let a = Bitmap::from_indices(len, a_raw.into_iter().map(|i| i % len));
             let b = Bitmap::from_indices(len, b_raw.into_iter().map(|i| i % len));
             prop_assert_eq!(a.and_count(&b), a.and(&b).count_ones());
+        }
+
+        #[test]
+        fn prop_and_into_matches_and(
+            len in 1usize..300,
+            stale_len in 0usize..300,
+            a_raw in proptest::collection::vec(0usize..300, 0..32),
+            b_raw in proptest::collection::vec(0usize..300, 0..32),
+        ) {
+            let a = Bitmap::from_indices(len, a_raw.into_iter().map(|i| i % len));
+            let b = Bitmap::from_indices(len, b_raw.into_iter().map(|i| i % len));
+            // A dirty scratch of another universe must not leak through.
+            let mut out = Bitmap::from_indices(stale_len, 0..stale_len);
+            a.and_into(&b, &mut out);
+            prop_assert_eq!(out, a.and(&b));
+        }
+
+        #[test]
+        fn prop_reset_matches_new(
+            len in 0usize..300,
+            stale_len in 0usize..300,
+        ) {
+            let mut bm = Bitmap::from_indices(stale_len, 0..stale_len);
+            bm.reset(len);
+            prop_assert_eq!(bm, Bitmap::new(len));
         }
 
         #[test]

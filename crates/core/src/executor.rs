@@ -57,7 +57,7 @@ use ftpm_events::{BoundaryKernel, BoundaryPolicy, BoundaryVisit, EventId};
 
 use crate::candidates::{CorrelationFilter, L2Engine, PairRelations, WorkNode, WorkPattern, CONF_EPS};
 use crate::config::MinerConfig;
-use crate::exact::{grow_candidates, MAX_EVENTS_HARD_CAP};
+use crate::exact::{grow_candidates, GrowScratch, MAX_EVENTS_HARD_CAP};
 use crate::index::DatabaseIndex;
 use crate::merge::{merge_stats, ShardMerge};
 use crate::occ::OccRange;
@@ -83,6 +83,9 @@ pub struct ShardReport {
     /// Wall time the shard spent in its mining stages.
     pub wall: Duration,
 }
+
+/// How many level-2 pairs or level-`k` nodes one propose task claims.
+const PROPOSE_CHUNK: usize = 32;
 
 /// Owned statistics of one proposed candidate: `(support, clipped)`.
 type OwnedStats = (usize, usize);
@@ -240,13 +243,13 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
         };
         // Chunked by index range over the shared pair list (no per-chunk
         // copies) so the scoped workers amortize their bookkeeping.
-        let starts: Vec<usize> = (0..pairs.len()).step_by(32).collect();
+        let starts: Vec<usize> = (0..pairs.len()).step_by(PROPOSE_CHUNK).collect();
         let pairs = &pairs;
         let outputs = par_map(starts, self.threads, |start| {
             let mut stats = MiningStats::default();
             stats.nodes_verified.push(0);
             let mut nodes = Vec::new();
-            for &(ei, ej) in &pairs[start..(start + 32).min(pairs.len())] {
+            for &(ei, ej) in &pairs[start..(start + PROPOSE_CHUNK).min(pairs.len())] {
                 if let Some(node) = engine.try_pair(ei, ej, &mut stats) {
                     nodes.push(node);
                 }
@@ -275,27 +278,37 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
         // lint: allow(panic, structural invariant: the executor always runs l1 before later rounds)
         let index = self.index.as_ref().expect("l1 ran first");
         let cfg = &self.local_cfg;
-        let outputs = par_map(nodes, self.threads, |node| {
+        // Chunked like the level-2 pairs; each chunk grows its nodes
+        // through one reused grow scratch.
+        let starts: Vec<usize> = (0..nodes.len()).step_by(PROPOSE_CHUNK).collect();
+        let nodes = &nodes;
+        let outputs = par_map(starts, self.threads, |start| {
             let mut stats = MiningStats::default();
             while stats.nodes_verified.len() < k - 1 {
                 stats.nodes_verified.push(0);
                 stats.nodes_kept.push(0);
                 stats.patterns_found.push(0);
             }
-            // The exact same extension loop as the unsharded miner —
-            // local σ_abs = 1 gates only empty joints, and the Lemma 5
-            // table is the *global* one the coordinator broadcast.
-            let children = grow_candidates::<K>(
-                db,
-                index,
-                cfg,
-                &mut stats,
-                &node,
-                freq,
-                pair_relations,
-                1,
-                k,
-            );
+            let mut scratch = GrowScratch::new();
+            let mut children = Vec::new();
+            for node in &nodes[start..(start + PROPOSE_CHUNK).min(nodes.len())] {
+                // The exact same extension loop as the unsharded miner —
+                // local σ_abs = 1 gates only empty joints, and the
+                // Lemma 5 table is the *global* one the coordinator
+                // broadcast.
+                children.extend(grow_candidates::<K>(
+                    db,
+                    index,
+                    cfg,
+                    &mut stats,
+                    node,
+                    freq,
+                    pair_relations,
+                    1,
+                    k,
+                    &mut scratch,
+                ));
+            }
             (children, stats)
         });
         for (children, stats) in outputs {
@@ -583,12 +596,10 @@ fn mine_exchange_internal_k<K: BoundaryKernel>(
     // A level-2 key decodes in place: the parent is a root (so its id is
     // the first event's id) and the packed column holds one relation.
     let mut pair_relations = PairRelations::new(plan.registry().len());
+    let mut column = Vec::with_capacity(1);
     for key in verdict.keys() {
-        pair_relations.insert(
-            EventId(key.parent.0),
-            decode_column(key.code, 1)[0],
-            key.last,
-        );
+        decode_column(key.code, 1, &mut column);
+        pair_relations.insert(EventId(key.parent.0), column[0], key.last);
     }
 
     // ---- Rounds 3+: lockstep growth of the surviving candidates ----

@@ -56,6 +56,15 @@ impl OccArena {
         }
     }
 
+    /// Empties the arena and switches it to occurrences of `width`
+    /// bound instances, keeping both column allocations — the reuse
+    /// step of the grow loop's per-relation-code scratch groups.
+    pub(crate) fn reset(&mut self, width: usize) {
+        self.width = width;
+        self.seqs.clear();
+        self.insts.clear();
+    }
+
     /// The bound-instance count per occurrence.
     #[inline]
     pub(crate) fn width(&self) -> usize {
@@ -170,6 +179,27 @@ mod tests {
         assert_eq!(a.seq(1), 7);
         assert_eq!(a.tuple(1), &[3, 9]);
         assert_eq!(a.since(0), OccRange { start: 0, end: 2 });
+    }
+
+    #[test]
+    fn reset_reuses_columns_at_a_new_width() {
+        let mut a = OccArena::new(3);
+        for i in 0..5u32 {
+            a.push(i, &[i, i + 1, i + 2]);
+        }
+        let (seqs_cap, insts_cap) = (a.seqs.capacity(), a.insts.capacity());
+        a.reset(2);
+        assert_eq!(a.len(), 0);
+        assert_eq!(a.width(), 2);
+        assert_eq!(a.since(0), OccRange { start: 0, end: 0 });
+        assert_eq!(
+            (a.seqs.capacity(), a.insts.capacity()),
+            (seqs_cap, insts_cap)
+        );
+        a.push_extend(8, &[4], 6);
+        assert_eq!(a.len(), 1);
+        assert_eq!(a.seq(0), 8);
+        assert_eq!(a.tuple(0), &[4, 6]);
     }
 
     #[test]

@@ -83,14 +83,15 @@ pub(crate) fn pack_relation(code: u64, r: TemporalRelation) -> u64 {
     (code << 2) | (r.index() as u64 + 1)
 }
 
-/// Reverses [`pack_relation`] for a column of `len` relations.
-pub(crate) fn decode_column(mut code: u64, len: usize) -> Vec<TemporalRelation> {
-    let mut rels = vec![TemporalRelation::Follow; len];
-    for slot in rels.iter_mut().rev() {
+/// Reverses [`pack_relation`] for a column of `len` relations, writing
+/// it into `out` (cleared first; its allocation is reused).
+pub(crate) fn decode_column(mut code: u64, len: usize, out: &mut Vec<TemporalRelation>) {
+    out.clear();
+    out.resize(len, TemporalRelation::Follow);
+    for slot in out.iter_mut().rev() {
         *slot = TemporalRelation::ALL[(code & 3) as usize - 1];
         code >>= 2;
     }
-    rels
 }
 
 /// FNV-1a, the workspace's hash for small fixed-width keys: no
@@ -550,7 +551,9 @@ mod tests {
         });
         let sliced = pool.intern_child(l2, EventId(0), &[Contain, Follow]);
         assert_eq!(packed, sliced);
-        assert_eq!(decode_column(code, 2), vec![Contain, Follow]);
+        let mut column = Vec::new();
+        decode_column(code, 2, &mut column);
+        assert_eq!(column, vec![Contain, Follow]);
     }
 
     #[test]

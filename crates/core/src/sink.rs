@@ -36,11 +36,13 @@
 //! assert_eq!(sink.patterns(), stats.patterns_found.iter().sum::<usize>());
 //! ```
 
+use std::borrow::Cow;
 use std::io::{self, Write};
 
 use ftpm_events::{EventId, EventRegistry};
 
 use crate::hpg::{HierarchicalPatternGraph, Level, Node};
+use crate::pattern::Pattern;
 use crate::result::{FrequentPattern, MiningResult, MiningStats};
 
 /// Receives the output of a mining run incrementally, one Hierarchical
@@ -179,16 +181,14 @@ impl PatternSink for CountingSink {
     }
 }
 
-/// Escapes a CSV field per RFC 4180: always quoted, `"` doubled.
-fn csv_field(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        if c == '"' {
-            out.push('"');
-        }
-        out.push(c);
+/// Escapes a label for the inside of a quoted CSV field (RFC 4180: `"`
+/// doubled). Borrows the label when it needs no escaping.
+fn csv_escape(label: &str) -> Cow<'_, str> {
+    if label.contains('"') {
+        Cow::Owned(label.replace('"', "\"\""))
+    } else {
+        Cow::Borrowed(label)
     }
-    out.push('"');
 }
 
 /// Escapes a JSON string body (without the surrounding quotes).
@@ -208,6 +208,82 @@ fn json_escape(s: &str, out: &mut String) {
     }
 }
 
+/// [`json_escape`] for one label.
+fn json_escape_label(label: &str) -> Cow<'_, str> {
+    let mut out = String::with_capacity(label.len());
+    json_escape(label, &mut out);
+    Cow::Owned(out)
+}
+
+/// Every registry label escaped once, indexed by event id: a writer
+/// sink renders rows by appending these pieces, never by escaping the
+/// rendered pattern text again.
+fn escaped_labels<'r>(
+    registry: &'r EventRegistry,
+    escape: impl Fn(&'r str) -> Cow<'r, str>,
+) -> Vec<Cow<'r, str>> {
+    registry.ids().map(|e| escape(registry.label(e))).collect()
+}
+
+/// Appends `pattern` in the paper's triple notation — the text of
+/// [`Pattern::display`](crate::Pattern::display) — from pre-escaped
+/// `labels`. The separators and relation names need no escaping in CSV
+/// or JSON, so escaping label by label yields the same bytes as escaping
+/// the rendered text as a whole.
+fn push_pattern(out: &mut String, pattern: &Pattern, labels: &[Cow<'_, str>]) {
+    let events = pattern.events();
+    for (n, (i, j, r)) in pattern.triples().enumerate() {
+        if n > 0 {
+            out.push_str(", ");
+        }
+        out.push('(');
+        out.push_str(&labels[events[i].0 as usize]);
+        out.push(' ');
+        out.push_str(r.name());
+        out.push(' ');
+        out.push_str(&labels[events[j].0 as usize]);
+        out.push(')');
+    }
+}
+
+/// Appends the decimal digits of `v`.
+fn push_uint(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends the shortest decimal that round-trips `v` — the `{}` format
+/// of an `f64`, for which std offers no non-`fmt` entry point.
+fn push_f64(out: &mut String, v: f64) {
+    use std::fmt::Write as _;
+    // lint: allow(write_discard, fmt::Write to String is infallible)
+    let _ = write!(out, "{v}");
+}
+
+/// Appends the numeric tail shared by both writer sinks' rows, with
+/// `sep(name)` written before each field.
+fn push_numbers(out: &mut String, fp: &FrequentPattern, k: usize, sep: impl Fn(&mut String, &str)) {
+    sep(out, "length");
+    push_uint(out, k as u64);
+    sep(out, "support");
+    push_uint(out, fp.support as u64);
+    sep(out, "rel_support");
+    push_f64(out, fp.rel_support);
+    sep(out, "confidence");
+    push_f64(out, fp.confidence);
+    sep(out, "clipped_occurrences");
+    push_uint(out, fp.clipped_occurrences as u64);
+}
+
 /// Streams patterns as CSV rows
 /// (`pattern,length,support,rel_support,confidence,clipped_occurrences`),
 /// one row per pattern, header first. Pattern text uses the paper's
@@ -217,7 +293,8 @@ fn json_escape(s: &str, out: &mut String) {
 /// [`FrequentPattern::clipped_occurrences`]).
 pub struct CsvSink<'r, W: Write> {
     out: W,
-    registry: &'r EventRegistry,
+    /// Registry labels with `"` already doubled.
+    labels: Vec<Cow<'r, str>>,
     written: u64,
     err: Option<io::Error>,
     line: String,
@@ -228,7 +305,7 @@ impl<'r, W: Write> CsvSink<'r, W> {
     pub fn new(out: W, registry: &'r EventRegistry) -> Self {
         CsvSink {
             out,
-            registry,
+            labels: escaped_labels(registry, csv_escape),
             written: 0,
             err: None,
             line: String::new(),
@@ -265,17 +342,13 @@ impl<W: Write> PatternSink for CsvSink<'_, W> {
         k: usize,
         patterns: Vec<FrequentPattern>,
     ) {
-        use std::fmt::Write as _;
         for fp in &patterns {
             self.line.clear();
-            let text = fp.pattern.display(self.registry).to_string();
-            csv_field(&text, &mut self.line);
-            // lint: allow(write_discard, fmt::Write to String is infallible)
-            let _ = writeln!(
-                self.line,
-                ",{k},{},{},{},{}",
-                fp.support, fp.rel_support, fp.confidence, fp.clipped_occurrences
-            );
+            self.line.push('"');
+            push_pattern(&mut self.line, &fp.pattern, &self.labels);
+            self.line.push('"');
+            push_numbers(&mut self.line, fp, k, |out, _| out.push(','));
+            self.line.push('\n');
             self.put();
             if self.err.is_some() {
                 return;
@@ -299,7 +372,8 @@ impl<W: Write> PatternSink for CsvSink<'_, W> {
 /// instance, see [`FrequentPattern::clipped_occurrences`]).
 pub struct JsonlSink<'r, W: Write> {
     out: W,
-    registry: &'r EventRegistry,
+    /// Registry labels, JSON-escaped.
+    labels: Vec<Cow<'r, str>>,
     written: u64,
     err: Option<io::Error>,
     line: String,
@@ -310,7 +384,7 @@ impl<'r, W: Write> JsonlSink<'r, W> {
     pub fn new(out: W, registry: &'r EventRegistry) -> Self {
         JsonlSink {
             out,
-            registry,
+            labels: escaped_labels(registry, json_escape_label),
             written: 0,
             err: None,
             line: String::new(),
@@ -331,30 +405,27 @@ impl<W: Write> PatternSink for JsonlSink<'_, W> {
         k: usize,
         patterns: Vec<FrequentPattern>,
     ) {
-        use std::fmt::Write as _;
         if self.err.is_some() {
             return;
         }
         for fp in &patterns {
             self.line.clear();
             self.line.push_str("{\"pattern\":\"");
-            let text = fp.pattern.display(self.registry).to_string();
-            json_escape(&text, &mut self.line);
+            push_pattern(&mut self.line, &fp.pattern, &self.labels);
             self.line.push_str("\",\"events\":[");
             for (i, e) in fp.pattern.events().iter().enumerate() {
                 if i > 0 {
                     self.line.push(',');
                 }
-                // lint: allow(write_discard, fmt::Write to String is infallible)
-                let _ = write!(self.line, "{}", e.0);
+                push_uint(&mut self.line, u64::from(e.0));
             }
-            // lint: allow(write_discard, fmt::Write to String is infallible)
-            let _ = writeln!(
-                self.line,
-                "],\"length\":{k},\"support\":{},\"rel_support\":{},\"confidence\":{},\
-                 \"clipped_occurrences\":{}}}",
-                fp.support, fp.rel_support, fp.confidence, fp.clipped_occurrences
-            );
+            self.line.push(']');
+            push_numbers(&mut self.line, fp, k, |out, name| {
+                out.push_str(",\"");
+                out.push_str(name);
+                out.push_str("\":");
+            });
+            self.line.push_str("}\n");
             if let Err(e) = self.out.write_all(self.line.as_bytes()) {
                 self.err = Some(e);
                 return;
@@ -422,8 +493,6 @@ impl MiningResult {
 mod tests {
     use super::*;
     use ftpm_events::TemporalRelation;
-
-    use crate::pattern::Pattern;
 
     fn fp(e1: u32, e2: u32, support: usize) -> FrequentPattern {
         FrequentPattern {
@@ -528,6 +597,120 @@ mod tests {
              \"length\":2,\"support\":2,\"rel_support\":0.5,\"confidence\":1,\
              \"clipped_occurrences\":1}"
         );
+    }
+
+    /// The row renderer the writer sinks replaced — the whole
+    /// `Pattern::display` text escaped char by char — kept as the oracle
+    /// for the pre-escaped rows.
+    fn csv_field(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            if c == '"' {
+                out.push('"');
+            }
+            out.push(c);
+        }
+        out.push('"');
+    }
+
+    fn oracle_csv_row(fp: &FrequentPattern, k: usize, reg: &EventRegistry) -> String {
+        use std::fmt::Write as _;
+        let mut line = String::new();
+        csv_field(&fp.pattern.display(reg).to_string(), &mut line);
+        writeln!(
+            line,
+            ",{k},{},{},{},{}",
+            fp.support, fp.rel_support, fp.confidence, fp.clipped_occurrences
+        )
+        .expect("String write");
+        line
+    }
+
+    fn oracle_jsonl_row(fp: &FrequentPattern, k: usize, reg: &EventRegistry) -> String {
+        use std::fmt::Write as _;
+        let mut line = String::from("{\"pattern\":\"");
+        json_escape(&fp.pattern.display(reg).to_string(), &mut line);
+        line.push_str("\",\"events\":[");
+        let ids: Vec<String> = fp
+            .pattern
+            .events()
+            .iter()
+            .map(|e| e.0.to_string())
+            .collect();
+        line.push_str(&ids.join(","));
+        writeln!(
+            line,
+            "],\"length\":{k},\"support\":{},\"rel_support\":{},\"confidence\":{},\
+             \"clipped_occurrences\":{}}}",
+            fp.support, fp.rel_support, fp.confidence, fp.clipped_occurrences
+        )
+        .expect("String write");
+        line
+    }
+
+    /// Labels exercising every escape either format knows, plus
+    /// multi-byte text.
+    const HOSTILE_LABELS: [&str; 8] = [
+        "A\"q\"=On",
+        "back\\slash=Off",
+        "com,ma=1",
+        "new\nline\r=2",
+        "tab\tbed=3",
+        "ctl\u{1}\u{1f}=4",
+        "café=é",
+        "rocket\u{1F680}=\"\\,\n\t\u{1}é",
+    ];
+
+    proptest::proptest! {
+        #[test]
+        fn prop_writer_rows_match_display_rendering(
+            k in 2usize..6,
+            picks in proptest::collection::vec(0usize..HOSTILE_LABELS.len(), 5..6),
+            rels in proptest::collection::vec(0usize..3, 10..11),
+            support in 0usize..5000,
+            n_seqs in 1usize..5000,
+            confidence in 0.0f64..1.0,
+            clipped in 0usize..100,
+        ) {
+            use ftpm_timeseries::{SymbolId, VariableId};
+            let mut reg = EventRegistry::new();
+            let ids: Vec<EventId> = HOSTILE_LABELS
+                .iter()
+                .enumerate()
+                .map(|(v, label)| reg.intern(VariableId(v as u32), SymbolId(1), || (*label).into()))
+                .collect();
+            let events: Vec<EventId> = picks[..k].iter().map(|&i| ids[i]).collect();
+            let relations: Vec<TemporalRelation> = rels[..k * (k - 1) / 2]
+                .iter()
+                .map(|&r| TemporalRelation::ALL[r])
+                .collect();
+            let fp = FrequentPattern {
+                pattern: Pattern::new(events.clone(), relations),
+                support,
+                rel_support: support as f64 / n_seqs as f64,
+                confidence,
+                clipped_occurrences: clipped,
+            };
+
+            let mut csv = Vec::new();
+            let mut jsonl = Vec::new();
+            {
+                let mut csv_sink = CsvSink::new(&mut csv, &reg);
+                csv_sink.node(events.clone(), support, k, vec![fp.clone()]);
+                csv_sink.finish().expect("no io error");
+                let mut jsonl_sink = JsonlSink::new(&mut jsonl, &reg);
+                jsonl_sink.node(events, support, k, vec![fp.clone()]);
+                jsonl_sink.finish().expect("no io error");
+            }
+            proptest::prop_assert_eq!(
+                String::from_utf8(csv).expect("utf8"),
+                oracle_csv_row(&fp, k, &reg)
+            );
+            proptest::prop_assert_eq!(
+                String::from_utf8(jsonl).expect("utf8"),
+                oracle_jsonl_row(&fp, k, &reg)
+            );
+        }
     }
 
     #[test]

@@ -41,16 +41,21 @@ impl TemporalRelation {
             TemporalRelation::Overlap => "G",
         }
     }
+
+    /// The relation's name, as its `Display` renders it (`Follow`,
+    /// `Contain`, `Overlap`) — for writers that append bytes directly.
+    pub fn name(self) -> &'static str {
+        match self {
+            TemporalRelation::Follow => "Follow",
+            TemporalRelation::Contain => "Contain",
+            TemporalRelation::Overlap => "Overlap",
+        }
+    }
 }
 
 impl std::fmt::Display for TemporalRelation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            TemporalRelation::Follow => "Follow",
-            TemporalRelation::Contain => "Contain",
-            TemporalRelation::Overlap => "Overlap",
-        };
-        f.write_str(name)
+        f.write_str(self.name())
     }
 }
 

@@ -1049,8 +1049,11 @@ pub fn approx_composition(opts: &Opts) -> bool {
 /// against the retained scalar reference (`and_count_scalar`) at
 /// L1-resident and cache-straddling operand sizes, the fused
 /// `and_count_many` batch against the equivalent per-pair loop on
-/// support bitmaps built from the energy demo itself, and one
-/// end-to-end exact mine of the demo through the kernelized path.
+/// support bitmaps built from the energy demo itself, the correlation
+/// graph's bitmap-popcount NMI matrix (`CorrelationGraph::build`)
+/// against the per-pair `normalized_mutual_information` loop it
+/// replaced, on the demo's symbolic series, and one end-to-end exact
+/// mine of the demo through the kernelized path.
 ///
 /// The scalar "before" survives only as the bench/proptest reference —
 /// the miner cannot be toggled back at runtime — so the microbenches
@@ -1060,7 +1063,10 @@ pub fn approx_composition(opts: &Opts) -> bool {
 /// with ±10% noise, and the minimum is the stable estimator there.
 /// Writes `results/kernel_speedup.{csv,json}` and returns whether
 /// `and_count` beat the scalar reference by ≥ 1.5× at any measured size
-/// (the CI gate; the CSA kernel's design point is the ≥ 1024-word range).
+/// (the CSA kernel's design point is the ≥ 1024-word range) and every
+/// NMI matrix cell is bit-identical to the per-pair value
+/// (`nmi_bit_identical`) — the CI gates. The NMI speedup is recorded,
+/// not gated.
 pub fn kernel_speedup(opts: &Opts) -> bool {
     use std::collections::HashMap;
     use std::hint::black_box;
@@ -1204,7 +1210,62 @@ pub fn kernel_speedup(opts: &Opts) -> bool {
         fused_bench("demo", &supports[0], &partners);
     }
 
-    // 3. End to end: one exact mine of the demo through the kernelized
+    // 3. nmi_matrix: the graph's one joint-count table per unordered
+    //    pair vs the per-pair definition for every ordered pair. Every
+    //    cell must match bit for bit; the diagonal is 1 by definition.
+    let (nmi_vars, nmi_steps) = (data.syb.n_variables(), data.syb.n_steps());
+    let per_pair = || -> Vec<Vec<f64>> {
+        data.syb
+            .iter()
+            .map(|(i, x)| {
+                data.syb
+                    .iter()
+                    .map(|(j, y)| {
+                        if i == j {
+                            1.0
+                        } else {
+                            ftpm_mi::normalized_mutual_information(x, y)
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let mut oracle = Vec::new();
+    let per_pair_s = best_ns(1, &mut || {
+        oracle = per_pair();
+        oracle.len()
+    }) / 1e9;
+    let mut graph = None;
+    let matrix_s = best_ns(1, &mut || {
+        graph
+            .insert(CorrelationGraph::build(&data.syb, 0.5))
+            .n_vertices()
+    }) / 1e9;
+    let nmi_bit_identical = graph.is_some_and(|g| {
+        data.syb.iter().all(|(i, _)| {
+            data.syb
+                .iter()
+                .all(|(j, _)| g.nmi(i, j).to_bits() == oracle[i.0 as usize][j.0 as usize].to_bits())
+        })
+    });
+    let nmi_speedup = per_pair_s / matrix_s;
+    report.row(vec![
+        "nmi_matrix".into(),
+        format!("{nmi_vars} vars x {nmi_steps} steps"),
+        format!("{:.3} ms", per_pair_s * 1e3),
+        format!("{:.3} ms", matrix_s * 1e3),
+        format!("{nmi_speedup:.2}x"),
+    ]);
+    json_rows.push(format!(
+        "    {{\"benchmark\": \"nmi_matrix\", \"variables\": {nmi_vars}, \
+         \"steps\": {nmi_steps}, \"per_pair_ms\": {:.3}, \"matrix_ms\": {:.3}, \
+         \"speedup\": {nmi_speedup:.3}, \"bit_identical\": {nmi_bit_identical}}}",
+        per_pair_s * 1e3,
+        matrix_s * 1e3,
+    ));
+
+    // 4. End to end: one exact mine of the demo through the kernelized
     //    verify path — the absolute number CI archives run over run.
     let cfg = config(0.4, 0.4, opts);
     let (result, elapsed) = time(|| mine_exact(&data.seq, &cfg));
@@ -1223,6 +1284,7 @@ pub fn kernel_speedup(opts: &Opts) -> bool {
          \"scale\": {},\n  \"samples\": {SAMPLES},\n  \
          \"and_count_best_speedup\": {best_speedup:.3},\n  \
          \"and_count_speedup_ok\": {and_count_ok},\n  \
+         \"nmi_bit_identical\": {nmi_bit_identical},\n  \
          \"end_to_end\": {{\"sigma\": 0.4, \"delta\": 0.4, \
          \"seconds\": {:.6}, \"patterns\": {}}},\n  \"runs\": [\n{}\n  ]\n}}\n",
         data.name,
@@ -1236,7 +1298,7 @@ pub fn kernel_speedup(opts: &Opts) -> bool {
         Ok(()) => println!("wrote results/kernel_speedup.json"),
         Err(e) => eprintln!("could not write results/kernel_speedup.json: {e}"),
     }
-    and_count_ok
+    and_count_ok && nmi_bit_identical
 }
 
 /// Allocations per emitted pattern that the `grow_allocs` row of

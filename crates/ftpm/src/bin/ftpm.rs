@@ -669,6 +669,12 @@ fn try_mine(args: &[String]) -> Result<(), String> {
     // this one graph, so shards can never disagree about the gate.
     let graph = match (opt.mu, opt.density) {
         (Some(mu), _) => Some(CorrelationGraph::build(&syb, mu)),
+        (None, Some(_)) if syb.n_variables() < 2 => {
+            return Err(format!(
+                "--approx-density needs at least two series to pair, the input has {}",
+                syb.n_variables()
+            ))
+        }
         (None, Some(d)) => Some(CorrelationGraph::build_with_density(&syb, d)),
         (None, None) => None,
     };
@@ -893,13 +899,25 @@ fn run_graph(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mu = opt.mu.unwrap_or_else(|| mu_for_density(&syb, 0.4));
-    let graph = CorrelationGraph::build(&syb, mu);
+    // Without --mu, μ is chosen for a 40% edge density (Def 5.6).
+    let graph = match opt.mu {
+        Some(mu) => CorrelationGraph::build(&syb, mu),
+        None if syb.n_variables() < 2 => {
+            eprintln!(
+                "error: choosing mu by density needs at least two series to pair, \
+                 the input has {}; pass --mu",
+                syb.n_variables()
+            );
+            return ExitCode::FAILURE;
+        }
+        None => CorrelationGraph::build_with_density(&syb, 0.4),
+    };
     println!(
-        "correlation graph: {} vertices, {} edges, density {:.2} (mu = {mu:.3})",
+        "correlation graph: {} vertices, {} edges, density {:.2} (mu = {:.3})",
         graph.n_vertices(),
         graph.n_edges(),
         graph.density(),
+        graph.mu(),
     );
     for (i, a) in syb.iter() {
         for (j, b) in syb.iter() {

@@ -1,7 +1,8 @@
-use ftpm_timeseries::{SymbolicDatabase, VariableId};
+use ftpm_bitmap::Bitmap;
+use ftpm_timeseries::{SymbolicDatabase, SymbolicSeries, VariableId};
 use serde::{Deserialize, Serialize};
 
-use crate::info::normalized_mutual_information;
+use crate::info::entropy;
 
 /// The correlation graph `G_C = (V, E)` of Def 5.5: vertices are symbolic
 /// series, and there is an (undirected) edge between `X_i` and `X_j` iff
@@ -52,13 +53,16 @@ impl CorrelationGraph {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < density ≤ 1` (Def 5.6).
+    /// Panics unless `0 < density ≤ 1` (Def 5.6) and the database has
+    /// ≥ 2 variables (a density is a fraction of variable *pairs*).
     pub fn build_with_density(db: &SymbolicDatabase, density: f64) -> Self {
         // lint: allow(panic, documented # Panics contract: Def 5.6 domain of density)
         assert!(
             density > 0.0 && density <= 1.0,
             "density must be in (0, 1]"
         );
+        // lint: allow(panic, documented # Panics contract: pairwise NMI needs two variables)
+        assert!(db.n_variables() >= 2, "need at least two variables");
         let nmi = nmi_matrix(db);
         let mu = mu_from_matrix(&nmi, density);
         Self::from_nmi_matrix(nmi, mu)
@@ -137,36 +141,111 @@ impl CorrelationGraph {
 /// (an edge survives a threshold iff both directions do); the returned μ
 /// is the weight of the `⌈density · |pairs|⌉`-th largest pair, so
 /// building the graph with it retains exactly that many edges (up to
-/// ties).
+/// ties). This is the μ of [`CorrelationGraph::build_with_density`];
+/// call that instead when the graph is needed too.
 ///
 /// # Panics
 ///
 /// Panics unless `0 < density ≤ 1` and the database has ≥ 2 variables.
 pub fn mu_for_density(db: &SymbolicDatabase, density: f64) -> f64 {
-    // lint: allow(panic, documented # Panics contract: Def 5.6 domain of density)
-    assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
-    // lint: allow(panic, documented # Panics contract: pairwise NMI needs two variables)
-    assert!(db.n_variables() >= 2, "need at least two variables");
-    mu_from_matrix(&nmi_matrix(db), density)
+    CorrelationGraph::build_with_density(db, density).mu()
 }
 
-/// The full pairwise NMI matrix of a symbolic database (diagonal 1).
+/// The full pairwise NMI matrix of a symbolic database:
+/// `nmi[i][j] = Ĩ(X_i;X_j)`, diagonal 1.
+///
+/// Each series is scanned once, into one [`Bitmap`] per symbol (bit `t`
+/// set iff the series has that symbol at step `t`) plus its marginal
+/// probabilities and entropy. Each *unordered* pair then fills one
+/// `|Σ_i| × |Σ_j|` joint-count table by popcounting the AND of every
+/// symbol-bitmap pair ([`Bitmap::and_count`]), and both directions
+/// `Ĩ(X_i;X_j)` and `Ĩ(X_j;X_i)` are read off that one table.
+///
+/// The counts are exact integers, and [`nmi_from_counts`] repeats the
+/// arithmetic of the per-pair
+/// [`normalized_mutual_information`](crate::normalized_mutual_information)
+/// operation for operation, in the same summation order, so every cell
+/// is bit-identical to that definition (Defs 5.1–5.3), which the tests
+/// use as their oracle.
 fn nmi_matrix(db: &SymbolicDatabase) -> Vec<Vec<f64>> {
-    let n = db.n_variables();
-    let mut nmi = vec![vec![0.0; n]; n];
-    for (i, row) in nmi.iter_mut().enumerate() {
-        for (j, cell) in row.iter_mut().enumerate() {
-            *cell = if i == j {
-                1.0
-            } else {
-                normalized_mutual_information(
-                    db.series(VariableId(i as u32)),
-                    db.series(VariableId(j as u32)),
-                )
-            };
+    let steps = db.n_steps();
+    let series: Vec<SeriesMarginals> = db
+        .iter()
+        .map(|(_, s)| SeriesMarginals::new(s, steps))
+        .collect();
+    let n = series.len();
+    let mut nmi = vec![vec![1.0; n]; n];
+    let mut counts = Vec::new();
+    for (i, a) in series.iter().enumerate() {
+        for (j, b) in series.iter().enumerate().skip(i + 1) {
+            // Row-major over a's alphabet: counts[x * |Σ_b| + y].
+            counts.clear();
+            counts.extend(
+                a.one_hot
+                    .iter()
+                    .flat_map(|x| b.one_hot.iter().map(move |y| x.and_count(y))),
+            );
+            let width = b.probs.len();
+            nmi[i][j] = nmi_from_counts(a, b, steps, |x, y| counts[x * width + y]);
+            nmi[j][i] = nmi_from_counts(b, a, steps, |y, x| counts[x * width + y]);
         }
     }
     nmi
+}
+
+/// What the pairwise NMI needs of one series, computed once per series.
+struct SeriesMarginals {
+    /// One bitmap per alphabet symbol over the series' steps.
+    one_hot: Vec<Bitmap>,
+    /// `p(x)`, exactly as [`SymbolicSeries::symbol_probabilities`].
+    probs: Vec<f64>,
+    /// `H(X)` of `probs`.
+    entropy: f64,
+}
+
+impl SeriesMarginals {
+    fn new(series: &SymbolicSeries, steps: usize) -> Self {
+        let mut one_hot = vec![Bitmap::new(steps); series.alphabet().len()];
+        for (t, s) in series.symbols().iter().enumerate() {
+            one_hot[s.0 as usize].set(t);
+        }
+        let probs = series.symbol_probabilities();
+        let entropy = entropy(&probs);
+        SeriesMarginals {
+            one_hot,
+            probs,
+            entropy,
+        }
+    }
+}
+
+/// `Ĩ(X;Y)` from the joint counts `count(x, y)` of `steps` aligned
+/// steps: the arithmetic of
+/// [`normalized_mutual_information`](crate::normalized_mutual_information)
+/// (and the [`mutual_information`](crate::mutual_information) it calls),
+/// step for step — rows over `X`'s alphabet, `p(x,y) = count / steps`,
+/// zero-probability cells skipped, `max(0)` before dividing by `H(X)`,
+/// then the clamp; `H(X) = 0` gives 1.
+fn nmi_from_counts(
+    x: &SeriesMarginals,
+    y: &SeriesMarginals,
+    steps: usize,
+    count: impl Fn(usize, usize) -> usize,
+) -> f64 {
+    if x.entropy == 0.0 {
+        return 1.0;
+    }
+    let n = steps as f64;
+    let mut mi = 0.0;
+    for (i, &px) in x.probs.iter().enumerate() {
+        for (j, &py) in y.probs.iter().enumerate() {
+            let pxy = count(i, j) as f64 / n;
+            if pxy > 0.0 {
+                mi += pxy * (pxy / (px * py)).ln();
+            }
+        }
+    }
+    (mi.max(0.0) / x.entropy).clamp(0.0, 1.0)
 }
 
 fn mu_from_matrix(nmi: &[Vec<f64>], density: f64) -> f64 {
@@ -301,5 +380,12 @@ mod tests {
     fn mu_zero_rejected() {
         let d = db(&[("A", "10"), ("B", "01")]);
         let _ = CorrelationGraph::build(&d, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least two variables")]
+    fn density_on_one_variable_rejected() {
+        let d = db(&[("A", "10")]);
+        let _ = CorrelationGraph::build_with_density(&d, 0.5);
     }
 }

@@ -78,8 +78,11 @@ fn cli_rejects_out_of_range_input_without_panicking() {
     let csv = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("smoke_non_finite.csv");
     std::fs::write(&csv, "time,a,b\n0,1,0\n5,NaN,1\n10,0,1\n").expect("write temp csv");
     let csv = csv.to_str().expect("utf-8 temp path");
+    let one = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("smoke_one_series.csv");
+    std::fs::write(&one, "time,a\n0,1\n60,0\n120,1\n180,0\n240,1\n").expect("write temp csv");
+    let one = one.to_str().expect("utf-8 temp path");
     let demo = ["mine", "--demo", "nist", "--scale", "0.01"];
-    let cases: [(Vec<&str>, &str); 5] = [
+    let cases: [(Vec<&str>, &str); 7] = [
         ([&demo[..], &["--mu", "0"]].concat(), "--mu"),
         ([&demo[..], &["--mu", "1.5"]].concat(), "--mu"),
         (
@@ -91,6 +94,12 @@ fn cli_rejects_out_of_range_input_without_panicking() {
             vec!["mine", "--input", csv, "--states", "3"],
             "line 3: non-finite value",
         ),
+        // A density is a fraction of variable pairs; one series has none.
+        (
+            vec!["mine", "--input", one, "--window", "120", "--approx-density", "0.5"],
+            "--approx-density",
+        ),
+        (vec!["graph", "--input", one], "--mu"),
     ];
     for (args, needle) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_ftpm"))

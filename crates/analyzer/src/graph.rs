@@ -1,6 +1,8 @@
-//! The workspace program model and the whole-program rules R7, R9 and
-//! R10. (R8, facade coverage, is retired: the `ftpm` facade glob-exports
-//! `ftpm_core`, so it cannot drift.)
+//! The workspace program model and the whole-program rules R7 and R9.
+//! (R8, facade coverage, is retired: the `ftpm` facade glob-exports
+//! `ftpm_core`, so it cannot drift. R10, concurrency confinement, is
+//! clippy's `disallowed_types`/`disallowed_methods`, listed in the root
+//! `clippy.toml`.)
 //!
 //! [`ItemGraph`] stitches every file's [`crate::parser::ParsedFile`] into
 //! one view: functions with their crate/module/impl coordinates, a
@@ -24,9 +26,10 @@
 //!   construction, so no per-pattern string may creep back in).
 //!   Structural allocations (arena growth,
 //!   bitmap construction) are the hot path's job; `format!`-family
-//!   strings, `Box::new` and stray `unwrap`s are not. Panic sites that
-//!   already carry a `lint: allow(panic, …)` contract are treated as
-//!   documented.
+//!   strings, `Box::new` and stray `unwrap`s are not. A panic site that
+//!   lies inside an `#[expect(clippy::<lint>, reason = …)]` for its own
+//!   panic lint (`unwrap_used`, `expect_used`, `panic`, …) is documented
+//!   and passes; the `assert!` family never is (see R2a).
 //! * **R9 `sink_seam`** — every public `mine_*` entry point in
 //!   `ftpm_core` must transitively reach a mining seam — the one mining
 //!   loop `mine_internal` or the one sharded executor
@@ -34,18 +37,12 @@
 //!   loops cannot share the sink/boundary/correlation plumbing, so they
 //!   are banned outright. `reference.rs` is exempt by design: the oracle
 //!   must stay independent of the machinery it checks.
-//! * **R10 `concurrency`** — thread spawns, channels and shared-state
-//!   primitives only in `parallel.rs` / `executor.rs` / `schedule.rs`
-//!   (the seam a distributed worker loop will plug into). The `bench`
-//!   crate is exempt: its allocation tracker is atomics-based
-//!   instrumentation, not mining concurrency.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use crate::lexer::{Lexed, TokenKind};
 use crate::parser::{Call, CallKind, ParsedFile, BUILTIN_CALLS};
 use crate::report::Violation;
-use crate::rules::{allowed, Allow, FileContext};
+use crate::rules::{within, FileContext};
 
 /// Maximum call-graph depth R7 follows from a hot root.
 pub const R7_DEPTH: usize = 4;
@@ -55,24 +52,6 @@ pub const R9_DEPTH: usize = 8;
 
 /// The mining seam every public `mine_*` entry point must reach (R9).
 const SINK_SEAMS: &[&str] = &["mine_internal", "mine_exchange_internal"];
-
-/// Files allowed to touch concurrency primitives (R10).
-const CONCURRENCY_FILES: &[&str] = &[
-    "crates/core/src/parallel.rs",
-    "crates/core/src/executor.rs",
-    "crates/core/src/schedule.rs",
-];
-
-/// Concurrency idents R10 confines (plus any ident starting `Atomic`).
-const CONCURRENCY_IDENTS: &[&str] = &[
-    "Mutex",
-    "RwLock",
-    "Condvar",
-    "Barrier",
-    "spawn",
-    "channel",
-    "sync_channel",
-];
 
 /// Macro names R7 bans in the hot set (the `debug_assert*` family is
 /// release-free and always fine).
@@ -84,21 +63,25 @@ const R7_BANNED_MACROS: &[&str] = &[
 /// Method/free call names R7 bans in the hot set.
 const R7_BANNED_CALLS: &[&str] = &["to_string", "to_owned", "unwrap", "expect"];
 
-/// Panic-family names whose existing `lint: allow(panic, …)` contract
-/// also satisfies R7 (the site is documented, not accidental).
-const PANIC_FAMILY: &[&str] = &[
-    "panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq",
-    "assert_ne", "unwrap", "expect",
+/// The panic-family calls R7 accepts when documented, each with the
+/// clippy lint whose `#[expect(clippy::<lint>, reason = …)]` documents
+/// it (the site is a stated contract, not an accident).
+pub(crate) const DOCUMENTED_PANICS: &[(&str, &str)] = &[
+    ("unwrap", "unwrap_used"),
+    ("expect", "expect_used"),
+    ("panic", "panic"),
+    ("unreachable", "unreachable"),
+    ("todo", "todo"),
+    ("unimplemented", "unimplemented"),
 ];
 
 /// One analyzed file, as the program model consumes it.
 pub struct FileRecord {
     pub ctx: FileContext,
-    pub src: String,
-    pub lexed: Lexed,
     pub parsed: ParsedFile,
-    pub allows: Vec<Allow>,
-    pub test_regions: Vec<(usize, usize)>,
+    /// Per `DOCUMENTED_PANICS` entry (same order), the byte ranges its
+    /// `#[expect]` covers.
+    pub documented_panics: Vec<Vec<(usize, usize)>>,
 }
 
 /// One function in the workspace model.
@@ -380,7 +363,7 @@ impl<'a> ItemGraph<'a> {
         let roots = self.hot_roots();
         for (id, chain) in self.reachable(&roots, R7_DEPTH) {
             let f = &self.fns[id];
-            let allows = &self.files[f.file].allows;
+            let documented = &self.files[f.file].documented_panics;
             for call in &f.calls {
                 let name = match &call.kind {
                     CallKind::Macro(n) => {
@@ -405,9 +388,11 @@ impl<'a> ItemGraph<'a> {
                     }
                 };
                 let bare = name.trim_end_matches('!');
-                let documented_panic = PANIC_FAMILY.contains(&bare)
-                    && allowed(allows, "panic", call.line);
-                if documented_panic || allowed(allows, "hot_path", call.line) {
+                let documented_panic = DOCUMENTED_PANICS
+                    .iter()
+                    .zip(documented)
+                    .any(|(&(n, _), regions)| n == bare && within(regions, call.start));
+                if documented_panic {
                     continue;
                 }
                 out.push(Violation {
@@ -417,8 +402,8 @@ impl<'a> ItemGraph<'a> {
                     message: format!(
                         "`{name}` is reachable from the hot set via `{}` (depth {}); \
                          the hot path must stay free of transient allocation, I/O and \
-                         undocumented panics — restructure, or annotate with \
-                         `// lint: allow(hot_path, reason)`",
+                         undocumented panics — restructure, or state a panic's contract \
+                         with `#[expect(clippy::<lint>, reason = \"…\")]`",
                         self.chain_names(&chain),
                         chain.len() - 1,
                     ),
@@ -449,10 +434,6 @@ impl<'a> ItemGraph<'a> {
             if hits_seam {
                 continue;
             }
-            let allows = &self.files[f.file].allows;
-            if allowed(allows, "sink_seam", f.line) {
-                continue;
-            }
             out.push(Violation {
                 rule: "R9/sink_seam".into(),
                 file: self.rel_path(id).to_string(),
@@ -462,51 +443,10 @@ impl<'a> ItemGraph<'a> {
                      (mine_internal / mine_exchange_internal, \
                      depth ≤ {R9_DEPTH}); route it through the `_internal`/`_with_sink` \
                      family so every miner shares the sink, boundary and correlation \
-                     plumbing — or annotate an oracle with \
-                     `// lint: allow(sink_seam, reason)`",
+                     plumbing",
                     f.name
                 ),
             });
-        }
-    }
-
-    /// R10: concurrency confinement — token-level, over the whole file
-    /// set, so the rule catches primitives in type positions and paths
-    /// the call-shaped parser does not model.
-    pub fn check_concurrency(&self, out: &mut Vec<Violation>) {
-        for f in self.files {
-            if CONCURRENCY_FILES.contains(&f.ctx.rel_path.as_str())
-                || f.ctx.crate_name == "bench"
-                || f.ctx.is_test_file
-            {
-                continue;
-            }
-            let in_test = |pos: usize| {
-                f.test_regions.iter().any(|&(s, e)| pos >= s && pos < e)
-            };
-            for (i, t) in f.lexed.tokens.iter().enumerate() {
-                if t.kind != TokenKind::Ident || in_test(t.start) {
-                    continue;
-                }
-                let word = f.lexed.text(&f.src, i);
-                let concurrent = CONCURRENCY_IDENTS.contains(&word)
-                    || (word.starts_with("Atomic") && word.len() > "Atomic".len());
-                if !concurrent || allowed(&f.allows, "concurrency", t.line) {
-                    continue;
-                }
-                out.push(Violation {
-                    rule: "R10/concurrency".into(),
-                    file: f.ctx.rel_path.clone(),
-                    line: t.line,
-                    message: format!(
-                        "concurrency primitive `{word}` outside \
-                         core/src/{{parallel,executor,schedule}}.rs; threads, channels \
-                         and shared state are confined to the pool/executor/sequencer \
-                         seam (the bench crate's instrumentation is exempt) — or \
-                         annotate with `// lint: allow(concurrency, reason)`"
-                    ),
-                });
-            }
         }
     }
 
@@ -514,6 +454,5 @@ impl<'a> ItemGraph<'a> {
     pub fn check_all(&self, out: &mut Vec<Violation>) {
         self.check_hot_path(out);
         self.check_sink_seam(out);
-        self.check_concurrency(out);
     }
 }

@@ -1,14 +1,14 @@
 //! A hand-rolled Rust lexer — just enough of the language to lint with.
 //!
 //! The linter's rules are token-shaped ("`.and(..).count_ones()` outside
-//! the bitmap crate", "`unwrap` in library code", "a `_ =>` arm in a
-//! `BoundaryPolicy` match"), so a full parser would be wasted weight and
+//! the bitmap kernel", "`assert!` in library code", "`CorrelationFilter`
+//! built outside the approx seam"), so a full parser would be wasted weight and
 //! an external crate would break the workspace's offline build (the same
 //! constraint that produced the vendored serde shim). This lexer handles
 //! the parts of Rust that matter for not mis-lexing real code:
 //!
-//! * line comments, nested block comments, and doc comments — retained
-//!   with positions so `// lint: allow(..)` markers can be matched;
+//! * line comments, nested block comments, and doc comments — skipped,
+//!   with line numbers kept in step;
 //! * string literals (plain, raw `r#"…"#` with any hash count, byte,
 //!   and C strings), char literals, and the char-vs-lifetime ambiguity
 //!   (`'a'` is a char, `'a` in `&'a str` is a lifetime);
@@ -43,19 +43,10 @@ pub struct Token {
     pub line: u32,
 }
 
-/// One comment, retained for allow-marker matching: text without the
-/// delimiters, plus the 1-based line it starts on.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    pub text: String,
-    pub line: u32,
-}
-
 /// The lexed form of one source file.
 #[derive(Debug, Default)]
 pub struct Lexed {
     pub tokens: Vec<Token>,
-    pub comments: Vec<Comment>,
 }
 
 impl Lexed {
@@ -78,6 +69,28 @@ impl Lexed {
         i < self.tokens.len()
             && self.tokens[i].kind == TokenKind::Punct
             && self.text(src, i) == p
+    }
+
+    /// Token index one past the bracketed group opening at `open` (a
+    /// `[`, `(` or `{`), or the end of the stream if it never closes.
+    pub fn skip_group(&self, src: &str, open: usize) -> usize {
+        let mut depth = 0i32;
+        for j in open..self.tokens.len() {
+            if self.tokens[j].kind != TokenKind::Punct {
+                continue;
+            }
+            match self.text(src, j) {
+                "[" | "(" | "{" => depth += 1,
+                "]" | ")" | "}" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return j + 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.tokens.len()
     }
 }
 
@@ -108,18 +121,12 @@ pub fn lex(src: &str) -> Lexed {
         }
         // Line comment (includes doc comments `///` and `//!`).
         if b == b'/' && bytes.get(i + 1) == Some(&b'/') {
-            let end = src[i..].find('\n').map_or(bytes.len(), |n| i + n);
-            out.comments.push(Comment {
-                text: src[i + 2..end].trim_start_matches(['/', '!']).trim().to_string(),
-                line,
-            });
-            i = end;
+            i = src[i..].find('\n').map_or(bytes.len(), |n| i + n);
             continue;
         }
         // Block comment, possibly nested.
         if b == b'/' && bytes.get(i + 1) == Some(&b'*') {
             let start = i;
-            let start_line = line;
             let mut depth = 1usize;
             i += 2;
             while i < bytes.len() && depth > 0 {
@@ -134,10 +141,6 @@ pub fn lex(src: &str) -> Lexed {
                 }
             }
             line += count_lines(start, i);
-            out.comments.push(Comment {
-                text: src[start + 2..i.saturating_sub(2).max(start + 2)].trim().to_string(),
-                line: start_line,
-            });
             continue;
         }
         // Raw strings: r"…", r#"…"#, and byte/C-string forms br#"…"#.
@@ -345,10 +348,8 @@ mod tests {
     fn comments_are_not_code() {
         let src = "// has .unwrap() inside\nlet x = 1; /* .expect( */";
         assert_eq!(idents(src), vec!["let", "x"]);
-        let lexed = lex(src);
-        assert_eq!(lexed.comments.len(), 2);
-        assert_eq!(lexed.comments[0].line, 1);
-        assert!(lexed.comments[0].text.contains(".unwrap()"));
+        // The line comment still advances the line count.
+        assert_eq!(lex(src).tokens[0].line, 2);
     }
 
     #[test]

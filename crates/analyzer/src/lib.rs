@@ -2,20 +2,27 @@
 //!
 //! A project-specific static-analysis pass for the ftpm workspace. The
 //! miner's headline guarantee (exchange == parallel == unsharded,
-//! bit-for-bit) rests on conventions rustc cannot check; this crate
-//! enforces them as errors. See [`rules`] for the per-file rule set
-//! (R1–R6), [`graph`] for the whole-program rules (R7, R9, R10) over the
-//! [`graph::ItemGraph`] workspace model, and the
-//! `// lint: allow(rule, reason)` suppression grammar. Allow markers
-//! that suppress nothing are themselves reported (warnings by default,
-//! violations under [`AnalyzeOptions::strict_allows`]) so suppressions
-//! cannot outlive their reason.
+//! bit-for-bit) rests on conventions the compiler cannot check from
+//! types alone. Those the toolchain *can* express are rustc and clippy
+//! lints, set in the root `Cargo.toml` and `clippy.toml`: no `unsafe`
+//! (`unsafe_code = "forbid"`), no panicking calls in library code
+//! (`clippy::unwrap_used` and friends, denied in each panic-free crate's
+//! root), named enum variants in every `match`
+//! (`clippy::wildcard_enum_match_arm`), no swallowed results
+//! (`clippy::let_underscore_must_use`, `clippy::unused_result_ok`) and
+//! concurrency confined to the worker pool (`clippy::disallowed_types`,
+//! `clippy::disallowed_methods`). A deliberate exception is written
+//! `#[expect(lint, reason = "…")]`; an expectation that suppresses
+//! nothing fails `-D warnings` as `unfulfilled_lint_expectations`.
 //!
-//! Run it as `cargo run -p ftpm-analyzer` (or `ftpm lint`); add
-//! `--json PATH` to emit the machine-readable `LINT_report.json` the CI
-//! `analyze` job archives. Exit codes: 0 clean, 2 violations found,
-//! 1 analyzer internal error.
-#![forbid(unsafe_code)]
+//! This crate checks the rest, and reports every finding as an error
+//! with no suppression: see [`rules`] for the per-file rules (R1, R2a,
+//! R6) and [`graph`] for the whole-program rules (R7, R9) over the
+//! [`graph::ItemGraph`] workspace model.
+//!
+//! Run it as `cargo run -p ftpm-analyzer`; add `--json PATH` to emit the
+//! machine-readable `LINT_report.json` the CI `analyze` job archives.
+//! Exit codes: 0 clean, 2 violations found, 1 analyzer internal error.
 
 pub mod graph;
 pub mod lexer;
@@ -24,29 +31,10 @@ pub mod report;
 pub mod rules;
 
 pub use graph::{FileRecord, ItemGraph};
-pub use report::{AllowRecord, Report, Violation};
+pub use report::{Report, Violation};
 pub use rules::{check_source, FileContext};
 
 use std::path::{Path, PathBuf};
-
-/// Options for a workspace pass.
-#[derive(Debug, Clone, Default)]
-pub struct AnalyzeOptions {
-    /// Report stale allow markers as violations instead of warnings.
-    pub strict_allows: bool,
-}
-
-/// Per-crate `#![forbid(unsafe_code)]` requirements: every crate root
-/// must carry the attribute. `bench` is the one exception — its
-/// allocation-tracking harness needs a `GlobalAlloc` impl, so its root
-/// carries `#![deny(unsafe_code)]` with a module-scoped allow instead.
-fn required_unsafe_attr(crate_name: &str) -> &'static str {
-    if crate_name == "bench" {
-        "deny"
-    } else {
-        "forbid"
-    }
-}
 
 /// Recursively collects `.rs` files under `dir`, sorted for a
 /// deterministic report.
@@ -70,31 +58,10 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// True if the crate-root source opts out of unsafe code at the required
-/// level. Token-level check: `#![<level>(unsafe_code)]`.
-fn has_unsafe_attr(src: &str, level: &str) -> bool {
-    let lexed = lexer::lex(src);
-    (0..lexed.tokens.len()).any(|i| {
-        lexed.is_punct(src, i, "#")
-            && lexed.is_punct(src, i + 1, "!")
-            && lexed.is_punct(src, i + 2, "[")
-            && lexed.is_ident(src, i + 3, level)
-            && lexed.is_punct(src, i + 4, "(")
-            && lexed.is_ident(src, i + 5, "unsafe_code")
-            && lexed.is_punct(src, i + 6, ")")
-            && lexed.is_punct(src, i + 7, "]")
-    })
-}
-
 /// Lints every source file under `<root>/crates`, returning the full
 /// report. `root` must be the workspace root (the directory holding the
 /// top-level `Cargo.toml`).
 pub fn analyze_workspace(root: &Path) -> Report {
-    analyze_workspace_with(root, &AnalyzeOptions::default())
-}
-
-/// [`analyze_workspace`] with explicit options.
-pub fn analyze_workspace_with(root: &Path, opts: &AnalyzeOptions) -> Report {
     let crates_dir = root.join("crates");
     let mut files = Vec::new();
     rs_files(&crates_dir, &mut files);
@@ -113,7 +80,7 @@ pub fn analyze_workspace_with(root: &Path, opts: &AnalyzeOptions) -> Report {
         }
     }
 
-    let mut report = analyze_sources(sources, opts);
+    let mut report = analyze_sources(sources);
     report.root = root.display().to_string();
     report.internal_errors.extend(internal_errors);
     report
@@ -121,101 +88,39 @@ pub fn analyze_workspace_with(root: &Path, opts: &AnalyzeOptions) -> Report {
 
 /// Lints an in-memory file set of `(workspace-relative path, source)`
 /// pairs — the same full pass as [`analyze_workspace`] (per-file rules,
-/// whole-program rules over the [`ItemGraph`], stale-allow audit), used
-/// directly by the fixture tests.
-pub fn analyze_sources(sources: Vec<(String, String)>, opts: &AnalyzeOptions) -> Report {
+/// then the whole-program rules over the [`ItemGraph`]), used directly
+/// by the fixture tests.
+pub fn analyze_sources(sources: Vec<(String, String)>) -> Report {
     let mut report = Report::default();
 
     // Pass 1: lex + parse every file into the program model's records,
-    // running the per-file rules (R1–R6 and R4b) along the way.
+    // running the per-file rules along the way.
     let mut records: Vec<FileRecord> = Vec::new();
     for (rel, src) in sources {
         let ctx = FileContext::classify(&rel);
         report.files_scanned += 1;
         let lexed = lexer::lex(&src);
-        let allows = rules::collect_allows(&lexed, &ctx, &mut report.violations);
         let tests = rules::test_regions(&src, &lexed);
-        rules::check_source_with(&src, &lexed, &ctx, &allows, &tests, &mut report.violations);
-
-        // R4b: crate roots must opt out of unsafe code. A crate root is
-        // src/lib.rs, src/main.rs, or a src/bin/*.rs target.
-        let is_root = rel.ends_with("/src/lib.rs")
-            || rel.ends_with("/src/main.rs")
-            || (rel.contains("/src/bin/") && rel.ends_with(".rs"));
-        if is_root {
-            let level = required_unsafe_attr(&ctx.crate_name);
-            if !has_unsafe_attr(&src, level) {
-                report.violations.push(Violation {
-                    rule: "R4/unsafe_attr".into(),
-                    file: rel.clone(),
-                    line: 1,
-                    message: format!(
-                        "crate root missing `#![{level}(unsafe_code)]` (every crate \
-                         opts out of unsafe; `bench` uses `deny` with a module-scoped \
-                         allow on alloc_track)"
-                    ),
-                });
-            }
-        }
-
+        rules::check_source_with(&src, &lexed, &ctx, &tests, &mut report.violations);
+        let documented_panics = graph::DOCUMENTED_PANICS
+            .iter()
+            .map(|&(_, lint)| rules::expect_regions(&src, &lexed, lint))
+            .collect();
         let parsed = parser::parse_file(&src, &lexed, &tests);
         records.push(FileRecord {
             ctx,
-            src,
-            lexed,
             parsed,
-            allows,
-            test_regions: tests,
+            documented_panics,
         });
     }
 
-    // Pass 2: whole-program rules (R7, R9, R10) over the item graph.
+    // Pass 2: whole-program rules (R7, R9) over the item graph.
     let item_graph = ItemGraph::build(&records);
     item_graph.check_all(&mut report.violations);
 
-    // Pass 3: stale-allow audit — markers that suppressed nothing in
-    // either pass have outlived their reason.
-    for rec in &records {
-        for a in &rec.allows {
-            if a.used.get() {
-                continue;
-            }
-            let v = Violation {
-                rule: "stale_allow".into(),
-                file: rec.ctx.rel_path.clone(),
-                line: a.line,
-                message: format!(
-                    "`// lint: allow({}, {})` suppresses no finding; remove the \
-                     marker (suppressions must not outlive their reason)",
-                    a.rule, a.reason
-                ),
-            };
-            if opts.strict_allows {
-                report.violations.push(v);
-            } else {
-                report.warnings.push(v);
-            }
-        }
-    }
-
-    // Audit trail: record every allow marker with its reason.
-    for rec in &records {
-        for a in &rec.allows {
-            report.allows.push(AllowRecord {
-                rule: a.rule.clone(),
-                file: rec.ctx.rel_path.clone(),
-                line: a.line,
-                reason: a.reason.clone(),
-            });
-        }
-    }
-
-    let key = |v: &Violation| (v.file.clone(), v.line, v.rule.clone());
-    report.violations.sort_by_key(key);
-    report.warnings.sort_by_key(key);
     report
-        .allows
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+        .violations
+        .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     report
 }
 
@@ -239,17 +144,9 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn unsafe_attr_detection() {
-        assert!(has_unsafe_attr("#![forbid(unsafe_code)]\npub fn f() {}", "forbid"));
-        assert!(has_unsafe_attr(
-            "//! docs first\n#![forbid(unsafe_code)]",
-            "forbid"
-        ));
-        assert!(!has_unsafe_attr("#![forbid(unsafe_code)]", "deny"));
-        assert!(!has_unsafe_attr("pub fn f() {}", "forbid"));
-        // An outer attribute on an item is not a crate-level opt-out.
-        assert!(!has_unsafe_attr("#[forbid(unsafe_code)]\nmod m {}", "forbid"));
+    fn workspace_root() -> PathBuf {
+        find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+            .expect("workspace root above CARGO_MANIFEST_DIR")
     }
 
     /// The linter must be clean on its own workspace — the same check
@@ -257,32 +154,45 @@ mod tests {
     /// a violation fails fast without the separate binary run.
     #[test]
     fn workspace_is_lint_clean() {
-        let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
-            .expect("workspace root above CARGO_MANIFEST_DIR");
-        let report = analyze_workspace(&root);
+        let report = analyze_workspace(&workspace_root());
         assert!(report.files_scanned > 20, "walker found the crates");
-        let render = |list: &[Violation]| -> String {
-            list.iter()
-                .map(|v| format!("{}:{} [{}] {}", v.file, v.line, v.rule, v.message))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
+        let rendered: Vec<String> = report
+            .violations
+            .iter()
+            .map(|v| format!("{}:{} [{}] {}", v.file, v.line, v.rule, v.message))
+            .collect();
         assert!(
             report.violations.is_empty(),
             "workspace has lint violations:\n{}",
-            render(&report.violations)
-        );
-        // Stale allows are warnings by default, but the workspace itself
-        // must not carry any — a suppression that fires nothing is dead.
-        assert!(
-            report.warnings.is_empty(),
-            "workspace has stale allow markers:\n{}",
-            render(&report.warnings)
+            rendered.join("\n")
         );
         assert!(
             report.internal_errors.is_empty(),
             "analyzer internal errors: {:?}",
             report.internal_errors
         );
+    }
+
+    /// The toolchain half of the rule set reaches a crate only through
+    /// its manifest: every `crates/*` package must carry a `[lints]`
+    /// table (`workspace = true`, or bench's own copy), so no crate can
+    /// silently drop `unsafe_code = "forbid"` and the clippy denials.
+    #[test]
+    fn every_crate_manifest_has_a_lints_table() {
+        let crates = workspace_root().join("crates");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&crates).expect("crates/ readable") {
+            let manifest = entry.expect("crates/ entry").path().join("Cargo.toml");
+            let Ok(text) = std::fs::read_to_string(&manifest) else {
+                continue;
+            };
+            let has_lints = text.lines().any(|l| {
+                let l = l.trim();
+                l == "[lints]" || l == "[lints.rust]"
+            });
+            assert!(has_lints, "{} has no [lints] table", manifest.display());
+            checked += 1;
+        }
+        assert!(checked >= 10, "found {checked} crate manifests");
     }
 }

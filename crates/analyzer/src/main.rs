@@ -2,13 +2,10 @@
 //!
 //! Exit code 0 when the workspace is clean, 2 when any violation is
 //! found, 1 on analyzer internal errors (unreadable files, usage
-//! errors). Also reachable as `ftpm lint`.
-#![forbid(unsafe_code)]
+//! errors).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-use ftpm_analyzer::AnalyzeOptions;
 
 /// Outcome of one CLI run, ordered by exit-code severity.
 enum Outcome {
@@ -35,7 +32,6 @@ fn main() -> ExitCode {
 fn ftpm_analyzer_cli(args: &[String]) -> Result<Outcome, String> {
     let mut root: Option<PathBuf> = None;
     let mut json: Option<PathBuf> = None;
-    let mut opts = AnalyzeOptions::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -49,25 +45,21 @@ fn ftpm_analyzer_cli(args: &[String]) -> Result<Outcome, String> {
                     it.next().ok_or("--json requires a file path")?,
                 ))
             }
-            "--strict-allows" => opts.strict_allows = true,
             "--help" | "-h" => {
                 println!(
                     "ftpm-analyzer: workspace invariant linter\n\n\
-                     USAGE: ftpm-analyzer [--root DIR] [--json PATH] [--strict-allows]\n\n\
+                     USAGE: ftpm-analyzer [--root DIR] [--json PATH]\n\n\
                      Per-file rules (token-level):\n  \
                      R1 and_count           no `.and(..).count_ones()` outside bitmap/src/kernel.rs or tests\n  \
-                     R2 panic               no panics in library code of core/events/bitmap/baselines/mi\n  \
-                     R3 boundary_match      BoundaryPolicy matches name every variant\n  \
-                     R4 unsafe              unsafe confined to bench/src/alloc_track.rs\n  \
-                     R5 write_discard       sink write results must not be discarded\n  \
+                     R2a assert             no assert!/assert_eq!/assert_ne! in library code of core/events/bitmap/baselines/mi\n  \
                      R6 filter_confinement  CorrelationFilter built only at the approx/exchange seams\n\n\
                      Whole-program rules (over the workspace item graph):\n  \
                      R7 hot_path            no transient allocation / undocumented panics reachable from the hot set\n  \
-                     R9 sink_seam           every public miner routes through the mine_*_internal seam\n  \
-                     R10 concurrency        threads/channels/shared state only in parallel/executor/schedule.rs\n\n\
-                     Suppress a finding with `// lint: allow(rule, reason)` on the\n\
-                     same line or the line above. Markers that suppress nothing are\n\
-                     reported as warnings (violations with --strict-allows).\n\n\
+                     R9 sink_seam           every public miner routes through the mine_*_internal seam\n\n\
+                     Findings have no suppression. The other invariants are rustc and\n\
+                     clippy lints (root Cargo.toml and clippy.toml), checked by\n\
+                     `cargo clippy --workspace --all-targets -- -D warnings`; their one\n\
+                     suppression form is `#[expect(lint, reason = \"...\")]`.\n\n\
                      Exit codes: 0 clean, 2 violations found, 1 internal error."
                 );
                 return Ok(Outcome::Clean);
@@ -85,24 +77,18 @@ fn ftpm_analyzer_cli(args: &[String]) -> Result<Outcome, String> {
         }
     };
 
-    let report = ftpm_analyzer::analyze_workspace_with(&root, &opts);
+    let report = ftpm_analyzer::analyze_workspace(&root);
     for v in &report.violations {
         eprintln!("{}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
-    }
-    for w in &report.warnings {
-        eprintln!("{}:{}: warning [{}] {}", w.file, w.line, w.rule, w.message);
     }
     for e in &report.internal_errors {
         eprintln!("internal error: {e}");
     }
     println!(
-        "ftpm-analyzer: {} files scanned, {} violations, {} warnings, \
-         {} internal errors, {} allow markers",
+        "ftpm-analyzer: {} files scanned, {} violations, {} internal errors",
         report.files_scanned,
         report.violations.len(),
-        report.warnings.len(),
         report.internal_errors.len(),
-        report.allows.len()
     );
     if let Some(path) = json {
         if let Some(parent) = path.parent() {

@@ -1,7 +1,7 @@
 //! Item-level parsing on top of the lexer — just enough structure for
-//! the whole-program rules (R7, R9, R10).
+//! the whole-program rules (R7, R9).
 //!
-//! The per-file rules (R1–R6) are token-shaped and need no structure,
+//! The per-file rules (R1, R2a, R6) are token-shaped and need no structure,
 //! but "no allocation reachable from the hot path" and "every public
 //! miner reaches the mining seam" are properties of the
 //! *program*, not of any one line. This module recovers the minimum
@@ -36,6 +36,8 @@ pub enum CallKind {
 pub struct Call {
     pub kind: CallKind,
     pub line: u32,
+    /// Byte offset of the called name.
+    pub start: usize,
 }
 
 /// One `fn` item with everything the call graph needs.
@@ -133,7 +135,7 @@ pub const BUILTIN_CALLS: &[&str] = &[
     "replace", "repeat", "to_lowercase", "to_uppercase", "eq_ignore_ascii_case",
     "is_ascii_whitespace", "is_ascii_alphanumeric", "is_ascii_alphabetic",
     "is_ascii_digit", "push_str",
-    // Sync / thread vocabulary (R10 handles these by ident, not edges).
+    // Sync / thread vocabulary (never a workspace call).
     "lock", "read", "write", "wait", "notify_all", "notify_one", "fetch_add",
     "load", "store", "spawn", "scope", "join", "send", "recv",
     // Time / misc std.
@@ -207,7 +209,7 @@ pub fn parse_file(src: &str, lexed: &Lexed, test_regions: &[(usize, usize)]) -> 
                     .iter()
                     .filter_map(|s| match s {
                         Scope::Module(m) => Some(m.clone()),
-                        _ => None,
+                        Scope::Impl { .. } | Scope::FnBody | Scope::Other => None,
                     })
                     .collect();
                 // Find the body `{` (or a `;` for a trait-method decl),
@@ -347,7 +349,7 @@ fn parse_impl_header(
                     }
                 }
             }
-            _ => {}
+            TokenKind::Ident | TokenKind::Literal | TokenKind::Lifetime => {}
         }
         j += 1;
     }
@@ -365,6 +367,14 @@ fn collect_calls(src: &str, lexed: &Lexed, open: usize, out: &mut Vec<Call>) {
     let mut depth = 0i32;
     let mut j = open;
     while j < toks.len() {
+        // An attribute (`#[expect(..)]`, `#![..]`) names lints, not calls.
+        if lexed.is_punct(src, j, "#") {
+            let bang = usize::from(lexed.is_punct(src, j + 1, "!"));
+            if lexed.is_punct(src, j + 1 + bang, "[") {
+                j = lexed.skip_group(src, j + 1 + bang);
+                continue;
+            }
+        }
         if toks[j].kind == TokenKind::Punct {
             match lexed.text(src, j) {
                 "{" => depth += 1,
@@ -378,11 +388,12 @@ fn collect_calls(src: &str, lexed: &Lexed, open: usize, out: &mut Vec<Call>) {
             }
         } else if toks[j].kind == TokenKind::Ident {
             let name = lexed.text(src, j);
-            let line = toks[j].line;
+            let (line, start) = (toks[j].line, toks[j].start);
             if lexed.is_punct(src, j + 1, "!") {
                 out.push(Call {
                     kind: CallKind::Macro(name.to_string()),
                     line,
+                    start,
                 });
             } else if lexed.is_punct(src, j + 1, "(")
                 || (lexed.is_punct(src, j + 1, "::")
@@ -399,7 +410,7 @@ fn collect_calls(src: &str, lexed: &Lexed, open: usize, out: &mut Vec<Call>) {
                 } else {
                     CallKind::Free(name.to_string())
                 };
-                out.push(Call { kind, line });
+                out.push(Call { kind, line, start });
             }
         }
         j += 1;
@@ -488,7 +499,7 @@ fn parse_use_tree(
                 }
                 _ => i += 1,
             },
-            _ => i += 1,
+            TokenKind::Literal | TokenKind::Lifetime => i += 1,
         }
     }
 }
@@ -596,6 +607,18 @@ mod tests {
         let p = parse(src);
         assert!(!p.fns[0].in_test);
         assert!(p.fns[1].in_test, "{:?}", p.fns);
+    }
+
+    #[test]
+    fn attributes_are_not_calls() {
+        let src = "fn f() {\n    #[expect(clippy::expect_used, reason = \"x\")]\n    \
+                   let a = g().expect(\"x\");\n}";
+        let p = parse(src);
+        let kinds: Vec<&CallKind> = p.fns[0].calls.iter().map(|c| &c.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![&CallKind::Free("g".into()), &CallKind::Method("expect".into())]
+        );
     }
 
     #[test]

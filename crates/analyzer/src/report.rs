@@ -2,12 +2,10 @@
 //! as the lexer (the analyzer must not pull the vendored serde shim into
 //! a second build graph).
 
-use std::fmt::Write as _;
-
 /// One rule violation at a source location.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Rule id, e.g. `R2/panic`.
+    /// Rule id, e.g. `R2a/assert`.
     pub rule: String,
     /// Workspace-relative path.
     pub file: String,
@@ -15,16 +13,6 @@ pub struct Violation {
     pub line: u32,
     /// Human-readable explanation with the suggested fix.
     pub message: String,
-}
-
-/// One `// lint: allow(rule, reason)` marker, recorded so the report
-/// doubles as an audit trail of every suppressed site.
-#[derive(Debug, Clone)]
-pub struct AllowRecord {
-    pub rule: String,
-    pub file: String,
-    pub line: u32,
-    pub reason: String,
 }
 
 /// The full result of one workspace pass.
@@ -35,87 +23,51 @@ pub struct Report {
     /// Number of `.rs` files lexed.
     pub files_scanned: usize,
     pub violations: Vec<Violation>,
-    /// Non-fatal findings — today, stale allow markers (promoted to
-    /// `violations` under `--strict-allows`).
-    pub warnings: Vec<Violation>,
     /// Analyzer-side failures (unreadable files, bad roots) — these are
     /// *not* lint findings and map to a distinct exit code.
     pub internal_errors: Vec<String>,
-    pub allows: Vec<AllowRecord>,
 }
 
 impl Report {
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        // Writes into a String are infallible (fmt::Write).
-        // lint: allow(write_discard, fmt::Write to String is infallible)
-        let _ = writeln!(s, "{{\n  \"tool\": \"ftpm-analyzer\",");
-        // lint: allow(write_discard, fmt::Write to String is infallible)
-        let _ = writeln!(s, "  \"root\": {},", json_str(&self.root));
-        // lint: allow(write_discard, fmt::Write to String is infallible)
-        let _ = writeln!(s, "  \"files_scanned\": {},", self.files_scanned);
-        // lint: allow(write_discard, fmt::Write to String is infallible)
-        let _ = writeln!(s, "  \"violation_count\": {},", self.violations.len());
-        // lint: allow(write_discard, fmt::Write to String is infallible)
-        let _ = writeln!(s, "  \"warning_count\": {},", self.warnings.len());
-        // lint: allow(write_discard, fmt::Write to String is infallible)
-        let _ = writeln!(
-            s,
-            "  \"internal_error_count\": {},",
-            self.internal_errors.len()
-        );
-        s.push_str("  \"violations\": [");
-        write_violations(&mut s, &self.violations);
-        s.push_str("],\n  \"warnings\": [");
-        write_violations(&mut s, &self.warnings);
-        s.push_str("],\n  \"internal_errors\": [");
-        for (i, e) in self.internal_errors.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            // lint: allow(write_discard, fmt::Write to String is infallible)
-            let _ = write!(s, "{sep}\n    {}", json_str(e));
-        }
-        if !self.internal_errors.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n  \"allows\": [");
-        for (i, a) in self.allows.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            // lint: allow(write_discard, fmt::Write to String is infallible)
-            let _ = write!(
-                s,
-                "{sep}\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"reason\": {}}}",
-                json_str(&a.rule),
-                json_str(&a.file),
-                a.line,
-                json_str(&a.reason)
-            );
-        }
-        if !self.allows.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
+        let violations: Vec<String> = self
+            .violations
+            .iter()
+            .map(|v| {
+                format!(
+                    "{{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
+                    json_str(&v.rule),
+                    json_str(&v.file),
+                    v.line,
+                    json_str(&v.message)
+                )
+            })
+            .collect();
+        let internal_errors: Vec<String> =
+            self.internal_errors.iter().map(|e| json_str(e)).collect();
+        format!(
+            "{{\n  \"tool\": \"ftpm-analyzer\",\n  \"root\": {},\n  \
+             \"files_scanned\": {},\n  \"violation_count\": {},\n  \
+             \"internal_error_count\": {},\n  \"violations\": [{}],\n  \
+             \"internal_errors\": [{}]\n}}\n",
+            json_str(&self.root),
+            self.files_scanned,
+            self.violations.len(),
+            self.internal_errors.len(),
+            json_array_body(&violations),
+            json_array_body(&internal_errors),
+        )
     }
 }
 
-/// Writes one violation array body (shared by `violations`/`warnings`).
-fn write_violations(s: &mut String, list: &[Violation]) {
-    for (i, v) in list.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        // lint: allow(write_discard, fmt::Write to String is infallible)
-        let _ = write!(
-            s,
-            "{sep}\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-            json_str(&v.rule),
-            json_str(&v.file),
-            v.line,
-            json_str(&v.message)
-        );
+/// The inside of a JSON array, one element per indented line; empty for
+/// no elements, so `[]` stays on one line.
+fn json_array_body(items: &[String]) -> String {
+    if items.is_empty() {
+        return String::new();
     }
-    if !list.is_empty() {
-        s.push_str("\n  ");
-    }
+    format!("\n    {}\n  ", items.join(",\n    "))
 }
 
 /// JSON string literal with escaping.
@@ -129,10 +81,7 @@ fn json_str(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                // lint: allow(write_discard, fmt::Write to String is infallible)
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
@@ -152,30 +101,23 @@ mod tests {
             ..Report::default()
         };
         r.violations.push(Violation {
-            rule: "R2/panic".into(),
+            rule: "R2a/assert".into(),
             file: "crates/core/src/x.rs".into(),
             line: 7,
-            message: "a \"quoted\"\nmessage".into(),
-        });
-        r.warnings.push(Violation {
-            rule: "stale_allow".into(),
-            file: "crates/core/src/x.rs".into(),
-            line: 3,
-            message: "allow(panic) suppresses nothing".into(),
+            message: "a \"quoted\"\nmessage\u{1}".into(),
         });
         r.internal_errors.push("crates/core/src/bad.rs: not UTF-8".into());
         let j = r.to_json();
         assert!(j.contains("\"violation_count\": 1"));
-        assert!(j.contains("\"warning_count\": 1"));
         assert!(j.contains("\"internal_error_count\": 1"));
-        assert!(j.contains("\\\"quoted\\\"\\nmessage"));
+        assert!(j.contains("\\\"quoted\\\"\\nmessage\\u0001"));
         assert!(j.contains("\"files_scanned\": 2"));
-        assert!(j.contains("suppresses nothing"));
+        assert!(j.contains("\"crates/core/src/bad.rs: not UTF-8\""));
         // Empty arrays stay well-formed.
         let empty = Report::default().to_json();
         assert!(empty.contains("\"violations\": []"));
-        assert!(empty.contains("\"warnings\": []"));
         assert!(empty.contains("\"internal_errors\": []"));
-        assert!(empty.contains("\"allows\": []"));
+        // The retired suppression audit left no sections behind.
+        assert!(!j.contains("warning") && !j.contains("allows"));
     }
 }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! The three state-of-the-art baselines the paper compares against
 //! (Section VI-A3). All three return exactly the same pattern set as
 //! [`ftpm_core::mine_exact`] — asserted by this crate's equivalence tests
@@ -25,6 +24,21 @@
 //! mined the clipped view regardless), so boundary-aware comparisons
 //! against the HPG miners are meaningful under every policy — asserted
 //! by the equivalence tests against [`ftpm_core::mine_reference`].
+
+// Library code must not panic on user data; each deliberate panic
+// site (a documented `# Panics` contract or a structural invariant)
+// carries `#[expect(clippy::…, reason = "…")]`. Tests may panic freely.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod common;
 mod hdfs;

@@ -4,6 +4,11 @@
 //! measures process memory; peak live heap is the same quantity without
 //! allocator/OS noise).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "allocation counters are process-wide atomics, not mining concurrency"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 

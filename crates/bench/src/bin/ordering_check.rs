@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Sanity harness: verifies the paper's runtime ordering
 //! (A-HTPGM < E-HTPGM < TPMiner < IEMiner/H-DFS) on a mid-size dataset.
 use std::time::Instant;

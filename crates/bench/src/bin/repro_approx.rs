@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! A-HTPGM composition gate on the energy demo (beyond the paper;
 //! ROADMAP "One mining plan"): with one correlation graph at density
 //! 0.8, the parallel and sharded candidate-exchange approximate runs

@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Boundary-policy equivalence on the energy demo (beyond the paper;
 //! ROADMAP "Window-boundary artifacts"): with `--boundary true-extent`
 //! and `t_ov = t_max`, an overlapped split's pattern set must equal the

@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Candidate-exchange pruning gate on the energy demo (beyond the paper;
 //! ROADMAP "Sharding/scale"): for K ∈ {2, 4} time-range shards, the
 //! two-phase exchange executor must reproduce the unsharded baseline

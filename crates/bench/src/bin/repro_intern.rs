@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Pattern-pool intern speedup gate (beyond the paper; ROADMAP
 //! "hash-consed pattern pool"): the id-keyed pooled merge accumulator
 //! must beat the retired pattern-keyed design by >= 1.3x on accumulation

@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Hot-path kernel speedup gate (beyond the paper; ROADMAP "Kernelize
 //! the hot path"): the block-unrolled CSA `and_count` kernel must beat
 //! the retained scalar reference by >= 1.5x on the microbench, and the

@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Systematic schedule sweep (beyond the paper; ROADMAP "deterministic
 //! schedule checking"): the [`ftpm_core::Explorer`] DFS must visit every
 //! two-worker interleaving of the parallel miner and of the

@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Shard-merge equivalence on the energy demo (beyond the paper; ROADMAP
 //! "Sharding/scale"): `ShardPlan::mine_exchange` with K ∈ {1, 2, 4}
 //! time-range shards, `t_ov = t_max` and `--boundary true-extent` must

@@ -12,7 +12,7 @@ use ftpm_datagen::{dataport_like, nist_like, smartcity_like, ukdale_like, Datase
 use ftpm_mi::CorrelationGraph;
 
 use crate::alloc_track::{measure_allocs, measure_peak};
-use crate::util::{secs, time, Method, Opts, Report};
+use crate::util::{secs, time, write_result, Method, Opts, Report};
 
 fn config(sigma: f64, delta: f64, opts: &Opts) -> MinerConfig {
     MinerConfig::new(sigma, delta).with_max_events(opts.max_events)
@@ -405,11 +405,7 @@ pub fn threads_scaling(opts: &Opts) {
         opts.scale,
         json_rows.join(",\n"),
     );
-    let _ = std::fs::create_dir_all("results");
-    match std::fs::write("results/threads_scaling.json", json) {
-        Ok(()) => println!("wrote results/threads_scaling.json"),
-        Err(e) => eprintln!("could not write results/threads_scaling.json: {e}"),
-    }
+    write_result("results/threads_scaling.json", &json);
 }
 
 /// Output-path memory (extends Table VIII): peak heap of one E-HTPGM run
@@ -576,11 +572,7 @@ pub fn boundary_equivalence(opts: &Opts) -> bool {
         opts.scale,
         json_rows.join(",\n"),
     );
-    let _ = std::fs::create_dir_all("results");
-    match std::fs::write("results/boundary_equivalence.json", json) {
-        Ok(()) => println!("wrote results/boundary_equivalence.json"),
-        Err(e) => eprintln!("could not write results/boundary_equivalence.json: {e}"),
-    }
+    write_result("results/boundary_equivalence.json", &json);
     true_extent_equal
 }
 
@@ -703,11 +695,7 @@ pub fn shard_equivalence(opts: &Opts) -> bool {
         opts.scale,
         json_rows.join(",\n"),
     );
-    let _ = std::fs::create_dir_all("results");
-    match std::fs::write("results/shard_equivalence.json", json) {
-        Ok(()) => println!("wrote results/shard_equivalence.json"),
-        Err(e) => eprintln!("could not write results/shard_equivalence.json: {e}"),
-    }
+    write_result("results/shard_equivalence.json", &json);
     k4_equal
 }
 
@@ -857,11 +845,7 @@ pub fn exchange_pruning(opts: &Opts) -> bool {
         base.stats.patterns_found.iter().sum::<usize>(),
         json_rows.join(",\n"),
     );
-    let _ = std::fs::create_dir_all("results");
-    match std::fs::write("results/exchange_pruning.json", json) {
-        Ok(()) => println!("wrote results/exchange_pruning.json"),
-        Err(e) => eprintln!("could not write results/exchange_pruning.json: {e}"),
-    }
+    write_result("results/exchange_pruning.json", &json);
     exchange_equal && exchange_prunes
 }
 
@@ -1036,11 +1020,7 @@ pub fn approx_composition(opts: &Opts) -> bool {
         base.len(),
         json_rows.join(",\n"),
     );
-    let _ = std::fs::create_dir_all("results");
-    match std::fs::write("results/approx_composition.json", json) {
-        Ok(()) => println!("wrote results/approx_composition.json"),
-        Err(e) => eprintln!("could not write results/approx_composition.json: {e}"),
-    }
+    write_result("results/approx_composition.json", &json);
     approx_equal && propose_prunes
 }
 
@@ -1293,11 +1273,7 @@ pub fn kernel_speedup(opts: &Opts) -> bool {
         result.len(),
         json_rows.join(",\n"),
     );
-    let _ = std::fs::create_dir_all("results");
-    match std::fs::write("results/kernel_speedup.json", json) {
-        Ok(()) => println!("wrote results/kernel_speedup.json"),
-        Err(e) => eprintln!("could not write results/kernel_speedup.json: {e}"),
-    }
+    write_result("results/kernel_speedup.json", &json);
     and_count_ok && nmi_bit_identical
 }
 
@@ -1496,11 +1472,7 @@ pub fn intern_speedup(opts: &Opts) -> bool {
         patterns.len(),
         exchange_run.as_secs_f64() * 1e3,
     );
-    let _ = std::fs::create_dir_all("results");
-    match std::fs::write("results/intern_speedup.json", json) {
-        Ok(()) => println!("wrote results/intern_speedup.json"),
-        Err(e) => eprintln!("could not write results/intern_speedup.json: {e}"),
-    }
+    write_result("results/intern_speedup.json", &json);
     if !grow_allocs_ok {
         eprintln!(
             "grow allocation gate FAILED: {grow_allocs_per_pattern:.3} allocations per \
@@ -1750,10 +1722,6 @@ pub fn schedule_sweep() -> bool {
          \"schedule_sweep_ok\": {all_ok},\n  \"sweeps\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n"),
     );
-    let _ = std::fs::create_dir_all("results");
-    match std::fs::write("results/schedule_sweep.json", json) {
-        Ok(()) => println!("wrote results/schedule_sweep.json"),
-        Err(e) => eprintln!("could not write results/schedule_sweep.json: {e}"),
-    }
+    write_result("results/schedule_sweep.json", &json);
     all_ok
 }

@@ -1,4 +1,3 @@
-#![deny(unsafe_code)]
 //! Benchmark harness reproducing every table and figure of the paper's
 //! evaluation (Section VI). See DESIGN.md for the experiment index and
 //! EXPERIMENTS.md for recorded paper-vs-measured results.
@@ -7,10 +6,10 @@
 //! writing `results/*.csv`) and, for the runtime-critical ones, a
 //! Criterion bench under `benches/`.
 
-// The allocation-tracking harness implements `GlobalAlloc`, which is
-// inherently unsafe; it is the single unsafe-permitted module in the
-// workspace (rule R4 of ftpm-analyzer).
-#[allow(unsafe_code)]
+#[expect(
+    unsafe_code,
+    reason = "the allocation tracker implements `GlobalAlloc`; the only unsafe module in the workspace"
+)]
 mod alloc_track;
 pub mod experiments;
 mod util;

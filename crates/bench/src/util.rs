@@ -155,17 +155,24 @@ impl Report {
         for r in &self.rows {
             println!("{}", fmt_row(r));
         }
-        let _ = std::fs::create_dir_all("results");
-        let csv_path = format!("results/{}.csv", self.name);
         let mut csv = self.header.join(",") + "\n";
         for r in &self.rows {
             csv.push_str(&r.join(","));
             csv.push('\n');
         }
-        match std::fs::write(&csv_path, csv) {
-            Ok(()) => println!("\nwrote {csv_path}"),
-            Err(e) => eprintln!("could not write {csv_path}: {e}"),
-        }
+        println!();
+        write_result(&format!("results/{}.csv", self.name), &csv);
+    }
+}
+
+/// Writes one result file under `results/`, creating the directory
+/// first, and reports the outcome: `wrote PATH` on stdout, or the I/O
+/// error on stderr.
+pub(crate) fn write_result(path: &str, contents: &str) {
+    let written = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, contents));
+    match written {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }
 

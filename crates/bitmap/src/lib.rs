@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Fixed-universe bitmaps used by HTPGM to index which sequences of the
 //! temporal sequence database contain an event or pattern.
 //!
@@ -7,6 +6,21 @@
 //! (paper, Section IV-C "Efficient bitmap indexing"). Support counting is a
 //! popcount, and the joint support of an event combination is the popcount
 //! of the AND of the member bitmaps (Alg. 1, line 8).
+
+// Library code must not panic on user data; each deliberate panic
+// site (a documented `# Panics` contract or a structural invariant)
+// carries `#[expect(clippy::…, reason = "…")]`. Tests may panic freely.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod kernel;
 
@@ -70,8 +84,10 @@ impl Bitmap {
     ///
     /// Panics if `i >= len`.
     pub fn set(&mut self, i: usize) {
-        // lint: allow(panic, documented # Panics contract: bit index within universe)
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
+        #[expect(clippy::panic, reason = "documented # Panics contract: bit index within universe")]
+        if i >= self.len {
+            panic!("bit index {i} out of range {}", self.len);
+        }
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
@@ -81,8 +97,10 @@ impl Bitmap {
     ///
     /// Panics if `i >= len`.
     pub fn clear(&mut self, i: usize) {
-        // lint: allow(panic, documented # Panics contract: bit index within universe)
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
+        #[expect(clippy::panic, reason = "documented # Panics contract: bit index within universe")]
+        if i >= self.len {
+            panic!("bit index {i} out of range {}", self.len);
+        }
         self.words[i / 64] &= !(1u64 << (i % 64));
     }
 
@@ -92,8 +110,10 @@ impl Bitmap {
     ///
     /// Panics if `i >= len`.
     pub fn get(&self, i: usize) -> bool {
-        // lint: allow(panic, documented # Panics contract: bit index within universe)
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
+        #[expect(clippy::panic, reason = "documented # Panics contract: bit index within universe")]
+        if i >= self.len {
+            panic!("bit index {i} out of range {}", self.len);
+        }
         self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
 
@@ -114,8 +134,10 @@ impl Bitmap {
     ///
     /// Panics if the universes differ.
     pub fn and(&self, other: &Bitmap) -> Bitmap {
-        // lint: allow(panic, documented # Panics contract: universes must match)
-        assert_eq!(self.len, other.len, "bitmap universe mismatch");
+        #[expect(clippy::panic, reason = "documented # Panics contract: universes must match")]
+        if self.len != other.len {
+            panic!("bitmap universe mismatch ({} vs {} bits)", self.len, other.len);
+        }
         let mut words = Vec::new();
         kernel::and_words(&self.words, &other.words, &mut words);
         Bitmap { words, len: self.len }
@@ -142,8 +164,10 @@ impl Bitmap {
     /// assert_eq!(out, a.and(&b));
     /// ```
     pub fn and_into(&self, other: &Bitmap, out: &mut Bitmap) {
-        // lint: allow(panic, documented # Panics contract: universes must match)
-        assert_eq!(self.len, other.len, "bitmap universe mismatch");
+        #[expect(clippy::panic, reason = "documented # Panics contract: universes must match")]
+        if self.len != other.len {
+            panic!("bitmap universe mismatch ({} vs {} bits)", self.len, other.len);
+        }
         kernel::and_words(&self.words, &other.words, &mut out.words);
         out.len = self.len;
     }
@@ -245,8 +269,10 @@ impl Bitmap {
     ///
     /// Panics if the universes differ.
     pub fn and_assign(&mut self, other: &Bitmap) {
-        // lint: allow(panic, documented # Panics contract: universes must match)
-        assert_eq!(self.len, other.len, "bitmap universe mismatch");
+        #[expect(clippy::panic, reason = "documented # Panics contract: universes must match")]
+        if self.len != other.len {
+            panic!("bitmap universe mismatch ({} vs {} bits)", self.len, other.len);
+        }
         kernel::and_assign_words(&mut self.words, &other.words);
     }
 
@@ -256,8 +282,10 @@ impl Bitmap {
     ///
     /// Panics if the universes differ.
     pub fn or(&self, other: &Bitmap) -> Bitmap {
-        // lint: allow(panic, documented # Panics contract: universes must match)
-        assert_eq!(self.len, other.len, "bitmap universe mismatch");
+        #[expect(clippy::panic, reason = "documented # Panics contract: universes must match")]
+        if self.len != other.len {
+            panic!("bitmap universe mismatch ({} vs {} bits)", self.len, other.len);
+        }
         let mut words = Vec::new();
         kernel::or_words(&self.words, &other.words, &mut words);
         Bitmap { words, len: self.len }
@@ -269,8 +297,10 @@ impl Bitmap {
     ///
     /// Panics if the universes differ.
     pub fn or_assign(&mut self, other: &Bitmap) {
-        // lint: allow(panic, documented # Panics contract: universes must match)
-        assert_eq!(self.len, other.len, "bitmap universe mismatch");
+        #[expect(clippy::panic, reason = "documented # Panics contract: universes must match")]
+        if self.len != other.len {
+            panic!("bitmap universe mismatch ({} vs {} bits)", self.len, other.len);
+        }
         kernel::or_assign_words(&mut self.words, &other.words);
     }
 

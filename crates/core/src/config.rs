@@ -72,11 +72,17 @@ impl MinerConfig {
     /// # Panics
     ///
     /// Panics unless `σ, δ ∈ (0, 1]`.
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract: Def 3.15/3.16 threshold domains"
+    )]
     pub fn new(sigma: f64, delta: f64) -> Self {
-        // lint: allow(panic, documented # Panics contract: Def 3.15/3.16 threshold domains)
-        assert!(sigma > 0.0 && sigma <= 1.0, "sigma must be in (0, 1]");
-        // lint: allow(panic, documented # Panics contract: Def 3.15/3.16 threshold domains)
-        assert!(delta > 0.0 && delta <= 1.0, "delta must be in (0, 1]");
+        if !(sigma > 0.0 && sigma <= 1.0) {
+            panic!("sigma must be in (0, 1]");
+        }
+        if !(delta > 0.0 && delta <= 1.0) {
+            panic!("delta must be in (0, 1]");
+        }
         MinerConfig {
             sigma,
             delta,
@@ -98,8 +104,10 @@ impl MinerConfig {
     ///
     /// Panics unless `max_events >= 2` (patterns have at least two events).
     pub fn with_max_events(mut self, max_events: usize) -> Self {
-        // lint: allow(panic, documented # Panics contract: pattern length floor)
-        assert!(max_events >= 2, "patterns have at least two events");
+        #[expect(clippy::panic, reason = "documented # Panics contract: pattern length floor")]
+        if max_events < 2 {
+            panic!("patterns have at least two events");
+        }
         self.max_events = max_events;
         self
     }

@@ -142,7 +142,10 @@ impl GrowScratch<'_> {
 /// `ek` that is chronologically last, verifying the new triples
 /// iteratively (and pruning through L2 when transitivity pruning is on).
 /// The joint bitmap of `node` and `ek` is `scratch.joint`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the grow loop's read-only context, passed without a wrapper struct"
+)]
 pub(crate) fn extend_node<K: BoundaryKernel>(
     db: &SequenceDatabase,
     index: &DatabaseIndex,
@@ -182,20 +185,29 @@ pub(crate) fn extend_node<K: BoundaryKernel>(
             let seq = &db.sequences()[seq_id as usize];
             // Bound instances passed the boundary policy when the parent
             // occurrence was built, so their effective interval exists.
+            #[expect(
+                clippy::expect_used,
+                reason = "structural invariant: binding members passed the boundary policy on entry"
+            )]
             let bound_iv = |ti: u32| {
                 K::interval(&seq.instances()[ti as usize])
-                    // lint: allow(panic, structural invariant: binding members passed the boundary policy on entry)
                     .expect("bound instances pass the boundary policy")
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "structural invariant: the binding is non-empty on this path"
+            )]
             let last_key =
-                // lint: allow(panic, structural invariant: the binding is non-empty on this path)
                 K::key(&seq.instances()[*tuple.last().expect("non-empty") as usize]);
             let first_start = bound_iv(tuple[0]).start;
+            #[expect(
+                clippy::expect_used,
+                reason = "structural invariant: the binding is non-empty on this path"
+            )]
             let tuple_max_end = tuple
                 .iter()
                 .map(|&ti| bound_iv(ti).end)
                 .max()
-                // lint: allow(panic, structural invariant: the binding is non-empty on this path)
                 .expect("non-empty");
             for &xi in index.instances_in(seq_id as usize, ek) {
                 let x = &seq.instances()[xi as usize];
@@ -306,7 +318,10 @@ pub(crate) fn extend_node<K: BoundaryKernel>(
 /// guarantee. `stats` must already have level slots up to `k - 1`.
 /// All working memory comes from `scratch`; only surviving children
 /// allocate.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the grow loop's read-only context, passed without a wrapper struct"
+)]
 pub(crate) fn grow_candidates<'i, K: BoundaryKernel>(
     db: &SequenceDatabase,
     index: &'i DatabaseIndex,
@@ -348,12 +363,15 @@ pub(crate) fn grow_candidates<'i, K: BoundaryKernel>(
 
     // Phase 3 — Apriori gate + instance verification per survivor. The
     // node's own events bound max_supp the same way for every ek.
+    #[expect(
+        clippy::expect_used,
+        reason = "structural invariant: HPG nodes always hold at least one event"
+    )]
     let node_max_supp = node
         .events
         .iter()
         .map(|&e| index.support(e))
         .max()
-        // lint: allow(panic, structural invariant: HPG nodes always hold at least one event)
         .expect("nodes have events");
     let mut children: Vec<WorkNode> = Vec::new();
     for c in 0..scratch.cands.len() {
@@ -560,7 +578,6 @@ mod tests {
     }
 
     /// Grows `node` with `scratch`, returning its children.
-    #[allow(clippy::too_many_arguments)]
     fn grow<'i>(
         db: &SequenceDatabase,
         index: &'i DatabaseIndex,

@@ -217,7 +217,10 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
     /// globally frequent events, support-complete locally, and records
     /// each resulting pattern with its owned statistics.
     fn propose_l2(&mut self, freq: &[EventId]) {
-        // lint: allow(panic, structural invariant: the executor always runs l1 before later rounds)
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: the executor always runs l1 before later rounds"
+        )]
         let index = self.index.as_ref().expect("l1 ran first");
         // Only locally present events can contribute an occurrence.
         let local: Vec<EventId> = freq
@@ -275,7 +278,10 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
     fn propose_next(&mut self, freq: &[EventId], pair_relations: &PairRelations, k: usize) {
         let nodes = std::mem::take(&mut self.level);
         let db = &self.shard.db;
-        // lint: allow(panic, structural invariant: the executor always runs l1 before later rounds)
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: the executor always runs l1 before later rounds"
+        )]
         let index = self.index.as_ref().expect("l1 ran first");
         let cfg = &self.local_cfg;
         // Chunked like the level-2 pairs; each chunk grows its nodes
@@ -437,12 +443,15 @@ fn gate_round<K: BoundaryKernel>(
         if support < sigma_abs {
             continue;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: patterns always hold at least one event"
+        )]
         let max_supp = merge
             .pool()
             .events_rev(key.parent)
             .map(|e| event_supports[e.0 as usize])
             .max()
-            // lint: allow(panic, structural invariant: patterns always hold at least one event)
             .expect("patterns have events")
             .max(event_supports[key.last.0 as usize]);
         if (support as f64 / max_supp as f64) + CONF_EPS < delta {

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! HTPGM — Hierarchical Temporal Pattern Graph Mining.
 //!
 //! This crate implements the paper's primary contribution:
@@ -38,6 +37,21 @@
 //!   and a [`ShardMerge`] sums owned supports losslessly — per-shard
 //!   pruning without giving up exactness ([`ShardReport`] exposes
 //!   per-shard candidate and timing observability).
+
+// Library code must not panic on user data; each deliberate panic
+// site (a documented `# Panics` contract or a structural invariant)
+// carries `#[expect(clippy::…, reason = "…")]`. Tests may panic freely.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 //! # Quickstart
 //!

@@ -23,6 +23,12 @@
 //! being propagated at the join; cascading a second one out of a
 //! poisoned `Mutex` would only mask it.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the worker pool: threads, channels and shared state live here"
+)]
+
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -132,8 +138,10 @@ pub(crate) fn mine_internal(
     sink: &mut (dyn PatternSink + Send),
     sched: Option<&SimCtl>,
 ) -> MiningStats {
-    // lint: allow(panic, documented # Panics contract: thread count floor)
-    assert!(n_threads > 0, "need at least one thread");
+    #[expect(clippy::panic, reason = "documented # Panics contract: thread count floor")]
+    if n_threads == 0 {
+        panic!("need at least one thread");
+    }
     // Monomorphization seam: fix the boundary kernel once per run, so
     // every instance-level decision below compiles branch-free.
     struct Run<'a, 'b, 'c> {
@@ -366,6 +374,10 @@ where
 /// parallelism of the exchange executor's propose stages (L2 pair chunks,
 /// level-k node growth), composing with the shard-level concurrency the
 /// way `--threads` composes with `--shards`.
+#[expect(
+    clippy::expect_used,
+    reason = "structural invariant: par_for_each visits every slot exactly once"
+)]
 pub(crate) fn par_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -378,13 +390,15 @@ where
     let mut slots: Vec<(Option<T>, Option<R>)> =
         items.into_iter().map(|t| (Some(t), None)).collect();
     par_for_each(&mut slots, threads, None, |_, slot| {
-        // lint: allow(panic, structural invariant: the atomic counter hands each slot index out once)
+        #[expect(
+            clippy::expect_used,
+            reason = "structural invariant: the atomic counter hands each slot index out once"
+        )]
         let item = slot.0.take().expect("each item mapped once");
         slot.1 = Some(f(item));
     });
     slots
         .into_iter()
-        // lint: allow(panic, structural invariant: par_for_each visits every slot exactly once)
         .map(|(_, r)| r.expect("every slot filled"))
         .collect()
 }

@@ -51,6 +51,11 @@
 //! interleavings, and a watchdog converts any would-be deadlock into a
 //! failed run instead of a hung CI job.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the deterministic sequencer parks workers on a mutex and condvar"
+)]
+
 use std::collections::HashSet;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
@@ -303,11 +308,14 @@ impl SimCtl {
                 .wait_timeout(st, WATCHDOG)
                 .unwrap_or_else(PoisonError::into_inner);
             st = guard;
+            #[expect(
+                clippy::panic,
+                reason = "deadlock watchdog: a wedged schedule must fail the test run, not hang it"
+            )]
             if timeout.timed_out() && st.events == events_before {
                 // No grant and no retirement for the whole window: a
                 // worker is wedged outside the sequencer. Fail the run
                 // loudly instead of hanging the harness.
-                // lint: allow(panic, deadlock watchdog — a wedged schedule must fail the test run, not hang it)
                 panic!(
                     "schedule sequencer watchdog: no progress in {WATCHDOG:?} \
                      (worker {worker} parked, {} live, trace length {})",
@@ -583,6 +591,10 @@ fn hash_trace(trace: &[usize]) -> u64 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests spawn the workers the sequencer schedules"
+)]
 mod tests {
     use super::*;
 

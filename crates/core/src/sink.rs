@@ -265,7 +265,7 @@ fn push_uint(out: &mut String, mut v: u64) {
 /// of an `f64`, for which std offers no non-`fmt` entry point.
 fn push_f64(out: &mut String, v: f64) {
     use std::fmt::Write as _;
-    // lint: allow(write_discard, fmt::Write to String is infallible)
+    #[expect(clippy::let_underscore_must_use, reason = "fmt::Write to String is infallible")]
     let _ = write!(out, "{v}");
 }
 

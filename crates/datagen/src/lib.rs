@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Seeded synthetic dataset generators.
 //!
 //! The paper evaluates on four real datasets (Table IV): NIST \[19\],

@@ -46,8 +46,13 @@ impl Interval {
     ///
     /// Panics if `end <= start`.
     pub fn new(start: i64, end: i64) -> Self {
-        // lint: allow(panic, documented # Panics contract; try_new is the fallible path)
-        assert!(end > start, "interval must have positive duration: [{start}, {end})");
+        #[expect(
+            clippy::panic,
+            reason = "documented # Panics contract; try_new is the fallible path"
+        )]
+        if end <= start {
+            panic!("interval must have positive duration: [{start}, {end})");
+        }
         Interval { start, end }
     }
 
@@ -137,11 +142,13 @@ impl EventInstance {
     ///
     /// Panics unless `extent` contains `interval`.
     pub fn with_extent(event: EventId, interval: Interval, extent: Interval) -> Self {
-        // lint: allow(panic, documented # Panics contract: the window splitter always passes extent ⊇ interval)
-        assert!(
-            extent.contains(&interval),
-            "extent {extent} must contain the clipped interval {interval}"
-        );
+        #[expect(
+            clippy::panic,
+            reason = "documented # Panics contract: the window splitter always passes extent ⊇ interval"
+        )]
+        if !extent.contains(&interval) {
+            panic!("extent {extent} must contain the clipped interval {interval}");
+        }
         EventInstance {
             event,
             interval,

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Temporal events, relations and sequences — the bridge between symbolic
 //! time series (`ftpm-timeseries`) and pattern mining (`ftpm-core`).
 //!
@@ -29,6 +28,21 @@
 //! symbols over steps `i..=j` becomes the interval
 //! `[time(i), time(j) + step)`. Adjacent events of the same variable then
 //! share endpoints exactly, which is what the relation semantics need.
+
+// Library code must not panic on user data; each deliberate panic
+// site (a documented `# Panics` contract or a structural invariant)
+// carries `#[expect(clippy::…, reason = "…")]`. Tests may panic freely.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod event;
 mod instance;

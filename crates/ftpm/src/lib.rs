@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! **FTPMfTS** — Frequent Temporal Pattern Mining from Time Series.
 //!
 //! A Rust implementation of Ho, Ho & Pedersen, *"Efficient Temporal

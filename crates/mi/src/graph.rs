@@ -41,8 +41,10 @@ impl CorrelationGraph {
     ///
     /// Panics unless `0 < μ ≤ 1` (Def 5.4).
     pub fn build(db: &SymbolicDatabase, mu: f64) -> Self {
-        // lint: allow(panic, documented # Panics contract: Def 5.4 domain of mu)
-        assert!(mu > 0.0 && mu <= 1.0, "mu must be in (0, 1]");
+        #[expect(clippy::panic, reason = "documented # Panics contract: Def 5.4 domain of mu")]
+        if !(mu > 0.0 && mu <= 1.0) {
+            panic!("mu must be in (0, 1]");
+        }
         Self::from_nmi_matrix(nmi_matrix(db), mu)
     }
 
@@ -56,13 +58,17 @@ impl CorrelationGraph {
     /// Panics unless `0 < density ≤ 1` (Def 5.6) and the database has
     /// ≥ 2 variables (a density is a fraction of variable *pairs*).
     pub fn build_with_density(db: &SymbolicDatabase, density: f64) -> Self {
-        // lint: allow(panic, documented # Panics contract: Def 5.6 domain of density)
-        assert!(
-            density > 0.0 && density <= 1.0,
-            "density must be in (0, 1]"
-        );
-        // lint: allow(panic, documented # Panics contract: pairwise NMI needs two variables)
-        assert!(db.n_variables() >= 2, "need at least two variables");
+        #[expect(clippy::panic, reason = "documented # Panics contract: Def 5.6 domain of density")]
+        if !(density > 0.0 && density <= 1.0) {
+            panic!("density must be in (0, 1]");
+        }
+        #[expect(
+            clippy::panic,
+            reason = "documented # Panics contract: pairwise NMI needs two variables"
+        )]
+        if db.n_variables() < 2 {
+            panic!("need at least two variables");
+        }
         let nmi = nmi_matrix(db);
         let mu = mu_from_matrix(&nmi, density);
         Self::from_nmi_matrix(nmi, mu)
@@ -251,8 +257,10 @@ fn nmi_from_counts(
 fn mu_from_matrix(nmi: &[Vec<f64>], density: f64) -> f64 {
     let n = nmi.len();
     let mut weights = Vec::with_capacity(n * (n - 1) / 2);
-    // Symmetric (i, j)/(j, i) access — an enumerate() rewrite obscures it.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "symmetric (i, j)/(j, i) access; an enumerate() rewrite obscures it"
+    )]
     for i in 0..n {
         for j in (i + 1)..n {
             weights.push(nmi[i][j].min(nmi[j][i]));

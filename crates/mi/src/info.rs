@@ -26,10 +26,14 @@ pub fn entropy(probs: &[f64]) -> f64 {
 ///
 /// Panics if the series have different lengths or are empty.
 pub fn joint_distribution(x: &SymbolicSeries, y: &SymbolicSeries) -> Vec<Vec<f64>> {
-    // lint: allow(panic, documented # Panics contract: aligned series)
-    assert_eq!(x.len(), y.len(), "series must be aligned");
-    // lint: allow(panic, documented # Panics contract: non-empty series)
-    assert!(!x.is_empty(), "series must be non-empty");
+    #[expect(clippy::panic, reason = "documented # Panics contract: aligned series")]
+    if x.len() != y.len() {
+        panic!("series must be aligned ({} vs {} symbols)", x.len(), y.len());
+    }
+    #[expect(clippy::panic, reason = "documented # Panics contract: non-empty series")]
+    if x.is_empty() {
+        panic!("series must be non-empty");
+    }
     let mut counts = vec![vec![0usize; y.alphabet().len()]; x.alphabet().len()];
     for (xs, ys) in x.symbols().iter().zip(y.symbols()) {
         counts[xs.0 as usize][ys.0 as usize] += 1;

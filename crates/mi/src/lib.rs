@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Information-theoretic machinery for the approximate miner A-HTPGM
 //! (paper Section V).
 //!
@@ -12,6 +11,21 @@
 //!
 //! All entropies use the natural logarithm; normalized mutual information
 //! is scale-invariant, so the choice does not affect A-HTPGM.
+
+// Library code must not panic on user data; each deliberate panic
+// site (a documented `# Panics` contract or a structural invariant)
+// carries `#[expect(clippy::…, reason = "…")]`. Tests may panic freely.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod bound;
 mod graph;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Time series and symbolic representations — the *Data Transformation*
 //! phase of the FTPMfTS process (paper Section IV-B, Defs 3.1–3.3).
 //!

@@ -5,12 +5,12 @@
 //! `clippy.toml`.)
 //!
 //! [`ItemGraph`] stitches every file's [`crate::parser::ParsedFile`] into
-//! one view: functions with their crate/module/impl coordinates, a
-//! heuristic identifier-resolved call graph, and the flattened `use`
-//! surface. Resolution is deliberately conservative-by-name —
-//! `Type::name(..)` pins the receiver, `.name(..)` fans out to every
-//! impl of that method name, and std vocabulary produces no edges at all
-//! (see [`crate::parser::BUILTIN_CALLS`]) — so a missing edge is always
+//! one view: functions with their crate/module/impl coordinates and a
+//! heuristic identifier-resolved call graph. Resolution is deliberately
+//! conservative-by-name — `Type::name(..)` pins the receiver,
+//! `.name(..)` fans out to every impl of that method name, and std
+//! vocabulary produces no edges at all (see
+//! [`crate::parser::BUILTIN_CALLS`]) — so a missing edge is always
 //! possible but a *wrong* conclusion needs two rules to fail at once.
 //!
 //! The rules:

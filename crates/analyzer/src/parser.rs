@@ -6,11 +6,11 @@
 //! miner reaches the mining seam" are properties of the
 //! *program*, not of any one line. This module recovers the minimum
 //! structure those rules need from the token stream: module nesting,
-//! `impl` blocks (with their trait and self type), function items with
-//! the calls their bodies make, and flattened `use` declarations. It is
-//! deliberately not a Rust parser — no expressions, no types, no
-//! generics — and it shares the lexer's failure philosophy: confusing
-//! input degrades into missing edges, never into a crash.
+//! `impl` blocks (with their trait and self type), and function items
+//! with the calls their bodies make. It is deliberately not a Rust
+//! parser — no expressions, no types, no generics — and it shares the
+//! lexer's failure philosophy: confusing input degrades into missing
+//! edges, never into a crash.
 
 use crate::lexer::{Lexed, TokenKind};
 
@@ -62,24 +62,10 @@ pub struct FnItem {
     pub in_test: bool,
 }
 
-/// One leaf of a (possibly nested) `use` declaration.
-#[derive(Debug, Clone)]
-pub struct UseDecl {
-    pub is_pub: bool,
-    /// Full path segments, e.g. `["ftpm_core", "mine_exact"]`. A glob
-    /// import ends with `"*"`.
-    pub path: Vec<String>,
-    /// The name this declaration makes visible (the alias after `as`,
-    /// otherwise the last segment; `"*"` for globs).
-    pub visible: String,
-    pub line: u32,
-}
-
 /// The parsed form of one source file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     pub fns: Vec<FnItem>,
-    pub uses: Vec<UseDecl>,
 }
 
 /// What a `{` we descended into belongs to.
@@ -258,11 +244,6 @@ pub fn parse_file(src: &str, lexed: &Lexed, test_regions: &[(usize, usize)]) -> 
                 }
                 continue;
             }
-            "use" => {
-                let is_pub = has_pub_qualifier(src, lexed, i);
-                i = parse_use_tree(src, lexed, i + 1, is_pub, Vec::new(), &mut out.uses);
-                continue;
-            }
             _ => {}
         }
         i += 1;
@@ -417,107 +398,6 @@ fn collect_calls(src: &str, lexed: &Lexed, open: usize, out: &mut Vec<Call>) {
     }
 }
 
-/// Recursively flattens one `use` tree starting right after `use` (or
-/// after a `{`/`,` inside a group), returning the token index one past
-/// the declaration. `prefix` carries the segments accumulated so far.
-fn parse_use_tree(
-    src: &str,
-    lexed: &Lexed,
-    mut i: usize,
-    is_pub: bool,
-    prefix: Vec<String>,
-    out: &mut Vec<UseDecl>,
-) -> usize {
-    let toks = &lexed.tokens;
-    let mut path = prefix;
-    let line = toks.get(i).map_or(0, |t| t.line);
-    loop {
-        let Some(t) = toks.get(i) else {
-            return i;
-        };
-        match t.kind {
-            TokenKind::Ident => {
-                let word = lexed.text(src, i).to_string();
-                if word == "as" {
-                    // Alias: the next ident is the visible name.
-                    if let Some(alias) = toks.get(i + 1) {
-                        if alias.kind == TokenKind::Ident {
-                            out.push(UseDecl {
-                                is_pub,
-                                path: path.clone(),
-                                visible: lexed.text(src, i + 1).to_string(),
-                                line,
-                            });
-                            i += 2;
-                            return skip_to_leaf_end(src, lexed, i);
-                        }
-                    }
-                    i += 1;
-                } else {
-                    path.push(word);
-                    i += 1;
-                }
-            }
-            TokenKind::Punct => match lexed.text(src, i) {
-                "::" => i += 1,
-                "*" => {
-                    path.push("*".to_string());
-                    out.push(UseDecl {
-                        is_pub,
-                        path: path.clone(),
-                        visible: "*".to_string(),
-                        line,
-                    });
-                    i += 1;
-                    return skip_to_leaf_end(src, lexed, i);
-                }
-                "{" => {
-                    // Group: recurse once per comma-separated subtree.
-                    i += 1;
-                    loop {
-                        match toks.get(i).map(|t| (t.kind, lexed.text(src, i))) {
-                            Some((TokenKind::Punct, "}")) => return i + 1,
-                            Some((TokenKind::Punct, ",")) => i += 1,
-                            Some(_) => {
-                                i = parse_use_tree(src, lexed, i, is_pub, path.clone(), out);
-                            }
-                            None => return i,
-                        }
-                    }
-                }
-                ";" | "," | "}" => {
-                    // Leaf ended: the last segment is the visible name.
-                    if let Some(last) = path.last() {
-                        out.push(UseDecl {
-                            is_pub,
-                            path: path.clone(),
-                            visible: last.clone(),
-                            line,
-                        });
-                    }
-                    return i;
-                }
-                _ => i += 1,
-            },
-            TokenKind::Literal | TokenKind::Lifetime => i += 1,
-        }
-    }
-}
-
-/// After an alias or glob leaf, advances past the remainder of this leaf
-/// (up to, not past, the `,`/`}`/`;` that ends it).
-fn skip_to_leaf_end(src: &str, lexed: &Lexed, mut i: usize) -> usize {
-    while i < lexed.tokens.len() {
-        if lexed.tokens[i].kind == TokenKind::Punct
-            && matches!(lexed.text(src, i), ";" | "," | "}")
-        {
-            return i;
-        }
-        i += 1;
-    }
-    i
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,28 +457,6 @@ mod tests {
                 &CallKind::Free("h".into()),
             ]
         );
-    }
-
-    #[test]
-    fn use_trees_flatten_with_aliases_and_globs() {
-        let src = "pub use ftpm_core::{mine_exact, schedule::Schedule as Sched, sink::*};\n\
-                   use std::fmt::Write as _;";
-        let p = parse(src);
-        let leaves: Vec<(&str, bool)> = p
-            .uses
-            .iter()
-            .map(|u| (u.visible.as_str(), u.is_pub))
-            .collect();
-        assert_eq!(
-            leaves,
-            vec![
-                ("mine_exact", true),
-                ("Sched", true),
-                ("*", true),
-                ("_", false)
-            ]
-        );
-        assert_eq!(p.uses[1].path, vec!["ftpm_core", "schedule", "Schedule"]);
     }
 
     #[test]

@@ -1040,7 +1040,9 @@ pub fn approx_composition(opts: &Opts) -> bool {
 /// carry the before/after story and the end-to-end row pins the absolute
 /// wall clock CI tracks across runs. All timings are best-of-N over
 /// millisecond-scale samples: the CI container is a single shared core
-/// with ±10% noise, and the minimum is the stable estimator there.
+/// with ±10% noise, and the minimum is the stable estimator there. The
+/// baseline and kernel samples alternate, so a slow phase of the machine
+/// slows both sides of a ratio rather than one.
 /// Writes `results/kernel_speedup.{csv,json}` and returns whether
 /// `and_count` beat the scalar reference by ≥ 1.5× at any measured size
 /// (the CSA kernel's design point is the ≥ 1024-word range) and every
@@ -1062,11 +1064,14 @@ pub fn kernel_speedup(opts: &Opts) -> bool {
 
     println!("Kernel speedup: and_count / and_count_many (scale {})\n", opts.scale);
 
-    // Best-of-N ns/call for a closure returning a count (black_boxed so
-    // the intersection is not hoisted or dead-code-eliminated).
-    let best_ns = |iters: usize, f: &mut dyn FnMut() -> usize| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..SAMPLES {
+    // Best-of-N ns/call for a baseline and a kernel closure, each
+    // returning a count (black_boxed so the intersection is not hoisted
+    // or dead-code-eliminated), sampled alternately.
+    let best_ns_pair = |iters: usize,
+                        baseline: &mut dyn FnMut() -> usize,
+                        kernel: &mut dyn FnMut() -> usize|
+     -> (f64, f64) {
+        let sample = |f: &mut dyn FnMut() -> usize| {
             let mut sink = 0usize;
             let started = Instant::now();
             for _ in 0..iters {
@@ -1074,9 +1079,15 @@ pub fn kernel_speedup(opts: &Opts) -> bool {
             }
             let elapsed = started.elapsed().as_secs_f64();
             black_box(sink);
-            best = best.min(elapsed);
+            elapsed
+        };
+        let (mut best_base, mut best_kernel) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..SAMPLES {
+            best_base = best_base.min(sample(baseline));
+            best_kernel = best_kernel.min(sample(kernel));
         }
-        best / iters as f64 * 1e9
+        let per_call = |best: f64| best / iters as f64 * 1e9;
+        (per_call(best_base), per_call(best_kernel))
     };
 
     // Deterministic ~50%-density operands (splitmix64 bit soup — the
@@ -1113,8 +1124,11 @@ pub fn kernel_speedup(opts: &Opts) -> bool {
         let a = random_bitmap(words, 0x0dd0_11ed + words as u64);
         let b = random_bitmap(words, 0xface_feed + words as u64);
         let iters = (WORDS_PER_SAMPLE / words).max(16);
-        let scalar_ns = best_ns(iters, &mut || a.and_count_scalar(&b));
-        let kernel_ns = best_ns(iters, &mut || a.and_count(&b));
+        let (scalar_ns, kernel_ns) = best_ns_pair(
+            iters,
+            &mut || a.and_count_scalar(&b),
+            &mut || a.and_count(&b),
+        );
         let speedup = scalar_ns / kernel_ns;
         best_speedup = best_speedup.max(speedup);
         report.row(vec![
@@ -1142,13 +1156,14 @@ pub fn kernel_speedup(opts: &Opts) -> bool {
         let words_touched = partners.len() * words;
         let iters = (WORDS_PER_SAMPLE / words_touched.max(1)).max(16);
         let mut counts = Vec::new();
-        let pairwise_ns = best_ns(iters, &mut || {
-            partners.iter().map(|p| candidate.and_count(p)).sum()
-        });
-        let fused_ns = best_ns(iters, &mut || {
-            candidate.and_count_many(partners, &mut counts);
-            counts.iter().sum()
-        });
+        let (pairwise_ns, fused_ns) = best_ns_pair(
+            iters,
+            &mut || partners.iter().map(|p| candidate.and_count(p)).sum(),
+            &mut || {
+                candidate.and_count_many(partners, &mut counts);
+                counts.iter().sum()
+            },
+        );
         let speedup = pairwise_ns / fused_ns;
         report.row(vec![
             "and_count_many".into(),
@@ -1212,16 +1227,20 @@ pub fn kernel_speedup(opts: &Opts) -> bool {
             .collect()
     };
     let mut oracle = Vec::new();
-    let per_pair_s = best_ns(1, &mut || {
-        oracle = per_pair();
-        oracle.len()
-    }) / 1e9;
     let mut graph = None;
-    let matrix_s = best_ns(1, &mut || {
-        graph
-            .insert(CorrelationGraph::build(&data.syb, 0.5))
-            .n_vertices()
-    }) / 1e9;
+    let (per_pair_ns, matrix_ns) = best_ns_pair(
+        1,
+        &mut || {
+            oracle = per_pair();
+            oracle.len()
+        },
+        &mut || {
+            graph
+                .insert(CorrelationGraph::build(&data.syb, 0.5))
+                .n_vertices()
+        },
+    );
+    let (per_pair_s, matrix_s) = (per_pair_ns / 1e9, matrix_ns / 1e9);
     let nmi_bit_identical = graph.is_some_and(|g| {
         data.syb.iter().all(|(i, _)| {
             data.syb

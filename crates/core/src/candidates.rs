@@ -8,10 +8,8 @@
 //! parallel miner carried its own hard-coded epsilon at the L2 gate,
 //! which is exactly the kind of drift this module exists to prevent.)
 
-use std::marker::PhantomData;
-
 use ftpm_bitmap::Bitmap;
-use ftpm_events::{BoundaryKernel, EventId, SequenceDatabase, TemporalRelation};
+use ftpm_events::{EventId, TemporalRelation};
 
 use crate::config::MinerConfig;
 use crate::index::DatabaseIndex;
@@ -191,22 +189,20 @@ impl PairRelations {
 /// pruning and verifies the survivors on instances. One instance is
 /// shared by every L2 code path (sequential loop, parallel shards).
 ///
-/// The engine is monomorphized over the boundary kernel `K` — the
-/// [`ftpm_events::BoundaryPolicy`] variant fixed at compile time — so
-/// the per-instance interval/order decisions in [`verify_pair`] are
-/// straight-line code. Miners pick `K` once per run through
-/// [`ftpm_events::BoundaryPolicy::dispatch`] at their entry point.
+/// The engine is policy-free: the [`DatabaseIndex`] it reads was built
+/// under the run's [`ftpm_events::BoundaryPolicy`], so its instance
+/// lists already omit what the policy discards and its columns already
+/// hold the interval and chronological rank the policy exposes.
+/// [`verify_pair`] reads nothing else.
 ///
 /// [`verify_pair`]: L2Engine::verify_pair
-pub(crate) struct L2Engine<'a, K: BoundaryKernel> {
-    pub(crate) db: &'a SequenceDatabase,
+pub(crate) struct L2Engine<'a> {
     pub(crate) index: &'a DatabaseIndex,
     pub(crate) cfg: &'a MinerConfig,
     pub(crate) sigma_abs: usize,
-    pub(crate) kernel: PhantomData<K>,
 }
 
-impl<K: BoundaryKernel> L2Engine<'_, K> {
+impl L2Engine<'_> {
     /// Runs one ordered candidate pair `(ei, ej)` end to end: Apriori
     /// gate, then instance verification. `stats.nodes_verified[0]` counts
     /// the pairs that reach verification.
@@ -246,7 +242,7 @@ impl<K: BoundaryKernel> L2Engine<'_, K> {
         max_supp: usize,
         stats: &mut MiningStats,
     ) -> Option<WorkNode> {
-        let n_seqs = self.db.len();
+        let n_seqs = self.index.n_sequences();
         // One accumulator per relation type.
         let mut bitmaps = [
             Bitmap::new(n_seqs),
@@ -255,30 +251,21 @@ impl<K: BoundaryKernel> L2Engine<'_, K> {
         ];
         let mut occs = [OccArena::new(2), OccArena::new(2), OccArena::new(2)];
 
-        // The boundary kernel `K` decides which interval of each instance
-        // the relation model sees (clipped view, true run extent, or none
-        // at all). Under `Discard` the index already hides clipped
-        // instances, so the `None` arms are just belt-and-braces.
         let rel = &self.cfg.relation;
         for seq_id in joint.iter_ones() {
-            let seq = &self.db.sequences()[seq_id];
+            let cols = self.index.columns(seq_id);
+            let list_j = self.index.instances_in(seq_id, ej);
             for &ii in self.index.instances_in(seq_id, ei) {
-                let inst_i = &seq.instances()[ii as usize];
-                let Some(iv_i) = K::interval(inst_i) else {
-                    continue;
-                };
-                let key_i = K::key(inst_i);
-                for &jj in self.index.instances_in(seq_id, ej) {
-                    let inst_j = &seq.instances()[jj as usize];
-                    let Some(iv_j) = K::interval(inst_j) else {
-                        continue;
-                    };
+                let iv_i = cols.interval(ii);
+                let rank_i = cols.rank(ii);
+                for &jj in list_j {
                     // The node (Ei, Ej) binds Ei to the chronologically first
                     // instance; the opposite order belongs to node (Ej, Ei).
-                    if key_i >= K::key(inst_j) {
+                    if rank_i >= cols.rank(jj) {
                         continue;
                     }
                     stats.instance_checks += 1;
+                    let iv_j = cols.interval(jj);
                     // Maximal-duration constraint (Section III-C). We use the
                     // monotone reading — the whole occurrence must fit inside
                     // a t_max window — so that every prefix of a valid

@@ -50,10 +50,9 @@
 //! zero pattern allocation. Patterns materialize exactly once: in the
 //! merge's final sorted emission.
 
-use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
-use ftpm_events::{BoundaryKernel, BoundaryPolicy, BoundaryVisit, EventId};
+use ftpm_events::{BoundaryPolicy, EventId};
 
 use crate::candidates::{CorrelationFilter, L2Engine, PairRelations, WorkNode, WorkPattern, CONF_EPS};
 use crate::config::MinerConfig;
@@ -111,7 +110,7 @@ fn delta_key(wp: &WorkPattern) -> DeltaKey {
 /// two protocol questions — [`propose`](ShardWorker::propose_l2) ("what
 /// do you see?") and [`recount`](ShardWorker::recount) ("how often do
 /// you see these?") — as independent calls.
-pub(crate) struct ShardWorker<'a, K: BoundaryKernel> {
+pub(crate) struct ShardWorker<'a> {
     shard: &'a Shard,
     /// Support-complete local config: global relation model and pruning
     /// switches, but `σ`/`δ` ≈ 0 — only the coordinator may threshold.
@@ -150,11 +149,9 @@ pub(crate) struct ShardWorker<'a, K: BoundaryKernel> {
     proposed_total: usize,
     pruned_total: usize,
     wall: Duration,
-    /// The monomorphized boundary kernel (fixed at dispatch).
-    kernel: PhantomData<K>,
 }
 
-impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
+impl<'a> ShardWorker<'a> {
     fn new(
         shard: &'a Shard,
         cfg: &MinerConfig,
@@ -181,7 +178,6 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
             proposed_total: 0,
             pruned_total: 0,
             wall: Duration::ZERO,
-            kernel: PhantomData,
         }
     }
 
@@ -189,6 +185,8 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
     /// supports plus owned boundary counts — the L1 half of the exchange,
     /// and the merge's confidence denominators.
     fn l1(&mut self) {
+        // The boundary policy is applied once, at index build: the
+        // propose rounds read only its lists and policy-resolved columns.
         let index =
             DatabaseIndex::build_masked(&self.shard.db, self.boundary, Some(&self.shard.owned));
         let mut clipped = 0u64;
@@ -237,12 +235,10 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
             .flat_map(|&ei| local.iter().map(move |&ej| (ei, ej)))
             .filter(|&(ei, ej)| corr.is_none_or(|c| c.allows_pair(ei, ej)))
             .collect();
-        let engine = L2Engine::<K> {
-            db: &self.shard.db,
+        let engine = L2Engine {
             index,
             cfg: &self.local_cfg,
             sigma_abs: 1,
-            kernel: PhantomData,
         };
         // Chunked by index range over the shared pair list (no per-chunk
         // copies) so the scoped workers amortize their bookkeeping.
@@ -277,7 +273,6 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
     /// one chronologically-last event each, support-complete locally.
     fn propose_next(&mut self, freq: &[EventId], pair_relations: &PairRelations, k: usize) {
         let nodes = std::mem::take(&mut self.level);
-        let db = &self.shard.db;
         #[expect(
             clippy::expect_used,
             reason = "structural invariant: the executor always runs l1 before later rounds"
@@ -302,8 +297,7 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
                 // local σ_abs = 1 gates only empty joints, and the
                 // Lemma 5 table is the *global* one the coordinator
                 // broadcast.
-                children.extend(grow_candidates::<K>(
-                    db,
+                children.extend(grow_candidates(
                     index,
                     cfg,
                     &mut stats,
@@ -400,13 +394,13 @@ impl<'a, K: BoundaryKernel> ShardWorker<'a, K> {
 /// Runs one stage on every worker, shards concurrent up to `outer`
 /// threads, accumulating per-shard wall time. With `sched` set, shard
 /// claims go through the seeded sequencer (see [`crate::schedule`]).
-fn run_round<'a, K: BoundaryKernel, F>(
-    workers: &mut [ShardWorker<'a, K>],
+fn run_round<'a, F>(
+    workers: &mut [ShardWorker<'a>],
     outer: usize,
     sched: Option<&crate::schedule::SimCtl>,
     f: F,
 ) where
-    F: Fn(&mut ShardWorker<'a, K>) + Sync,
+    F: Fn(&mut ShardWorker<'a>) + Sync,
 {
     par_for_each(workers, outer, sched, |_, worker| {
         let started = Instant::now();
@@ -423,8 +417,8 @@ fn run_round<'a, K: BoundaryKernel, F>(
 /// interning (parents are already pooled prior-round survivors), and the
 /// confidence numerator walks the pooled parent chain instead of an
 /// events slice — no pattern is cloned or hashed vector-wide anywhere.
-fn gate_round<K: BoundaryKernel>(
-    workers: &[ShardWorker<'_, K>],
+fn gate_round(
+    workers: &[ShardWorker<'_>],
     event_supports: &[usize],
     sigma_abs: usize,
     delta: f64,
@@ -467,10 +461,7 @@ fn gate_round<K: BoundaryKernel>(
 /// Debug cross-check of the exchange protocol: recounting each survivor
 /// against every shard must find its owned support somewhere — i.e. the
 /// propose and recount answers agree as independent calls.
-fn debug_assert_recount<K: BoundaryKernel>(
-    workers: &[ShardWorker<'_, K>],
-    verdict: &Verdict,
-) {
+fn debug_assert_recount(workers: &[ShardWorker<'_>], verdict: &Verdict) {
     if cfg!(debug_assertions) {
         for candidate in verdict.keys() {
             let total: usize = workers
@@ -501,48 +492,6 @@ pub(crate) fn mine_exchange_internal(
     sink: &mut dyn PatternSink,
     sched: Option<&crate::schedule::SimCtl>,
 ) -> (MiningStats, Vec<ShardReport>) {
-    // Monomorphization seam: fix the boundary kernel once per run (the
-    // same dispatch point discipline as `parallel::mine_internal`).
-    struct Run<'a, 'b, 'c> {
-        plan: &'a ShardPlan,
-        cfg: &'a MinerConfig,
-        threads: usize,
-        corr: Option<&'a CorrelationFilter<'c>>,
-        sink: &'a mut dyn PatternSink,
-        sched: Option<&'b crate::schedule::SimCtl>,
-    }
-    impl BoundaryVisit for Run<'_, '_, '_> {
-        type Out = (MiningStats, Vec<ShardReport>);
-        fn visit<K: BoundaryKernel>(self) -> Self::Out {
-            mine_exchange_internal_k::<K>(
-                self.plan,
-                self.cfg,
-                self.threads,
-                self.corr,
-                self.sink,
-                self.sched,
-            )
-        }
-    }
-    cfg.relation.boundary.dispatch(Run {
-        plan,
-        cfg,
-        threads,
-        corr,
-        sink,
-        sched,
-    })
-}
-
-/// [`mine_exchange_internal`], monomorphized over the boundary kernel.
-fn mine_exchange_internal_k<K: BoundaryKernel>(
-    plan: &ShardPlan,
-    cfg: &MinerConfig,
-    threads: usize,
-    corr: Option<&CorrelationFilter<'_>>,
-    sink: &mut dyn PatternSink,
-    sched: Option<&crate::schedule::SimCtl>,
-) -> (MiningStats, Vec<ShardReport>) {
     let shards = plan.shards();
     let n_shards = shards.len().max(1);
     let threads = threads.max(1);
@@ -558,7 +507,7 @@ fn mine_exchange_internal_k<K: BoundaryKernel>(
     } else {
         (threads / n_shards).max(1)
     };
-    let mut workers: Vec<ShardWorker<'_, K>> = shards
+    let mut workers: Vec<ShardWorker<'_>> = shards
         .iter()
         .map(|shard| ShardWorker::new(shard, cfg, inner, corr))
         .collect();

@@ -29,12 +29,11 @@
     reason = "the worker pool: threads, channels and shared state live here"
 )]
 
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread::ScopedJoinHandle;
 
-use ftpm_events::{BoundaryKernel, BoundaryVisit, EventId, SequenceDatabase};
+use ftpm_events::{EventId, SequenceDatabase};
 
 use crate::candidates::{CorrelationFilter, L2Engine, PairRelations, WorkNode};
 use crate::config::MinerConfig;
@@ -142,50 +141,11 @@ pub(crate) fn mine_internal(
     if n_threads == 0 {
         panic!("need at least one thread");
     }
-    // Monomorphization seam: fix the boundary kernel once per run, so
-    // every instance-level decision below compiles branch-free.
-    struct Run<'a, 'b, 'c> {
-        db: &'a SequenceDatabase,
-        cfg: &'a MinerConfig,
-        n_threads: usize,
-        corr: Option<&'a CorrelationFilter<'c>>,
-        sink: &'a mut (dyn PatternSink + Send),
-        sched: Option<&'b SimCtl>,
-    }
-    impl BoundaryVisit for Run<'_, '_, '_> {
-        type Out = MiningStats;
-        fn visit<K: BoundaryKernel>(self) -> MiningStats {
-            mine_internal_k::<K>(
-                self.db,
-                self.cfg,
-                self.n_threads,
-                self.corr,
-                self.sink,
-                self.sched,
-            )
-        }
-    }
-    cfg.relation.boundary.dispatch(Run {
-        db,
-        cfg,
-        n_threads,
-        corr,
-        sink,
-        sched,
-    })
-}
-
-/// [`mine_internal`], monomorphized over the boundary kernel.
-fn mine_internal_k<K: BoundaryKernel>(
-    db: &SequenceDatabase,
-    cfg: &MinerConfig,
-    n_threads: usize,
-    corr: Option<&CorrelationFilter<'_>>,
-    sink: &mut (dyn PatternSink + Send),
-    sched: Option<&SimCtl>,
-) -> MiningStats {
     let sigma_abs = cfg.absolute_support(db.len());
     let max_events = cfg.max_events.min(MAX_EVENTS_HARD_CAP);
+    // The boundary policy is applied once, at index build: the index
+    // hides what the policy discards and resolves every instance's
+    // interval and chronological rank, so no loop below branches on it.
     let index = DatabaseIndex::build_with_policy(db, cfg.relation.boundary);
 
     // ---- L1: frequent single events (Alg. 1 lines 1–4) ----
@@ -203,12 +163,10 @@ fn mine_internal_k<K: BoundaryKernel>(
 
     // ---- L2: frequent 2-event patterns (Alg. 1 lines 5–14), claimed in
     // chunks of candidate pairs ----
-    let engine = L2Engine::<K> {
-        db,
+    let engine = L2Engine {
         index: &index,
         cfg,
         sigma_abs,
-        kernel: PhantomData,
     };
     let pairs: Vec<(EventId, EventId)> = freq_events
         .iter()
@@ -268,7 +226,7 @@ fn mine_internal_k<K: BoundaryKernel>(
             return;
         };
         let mut task_sink = SharedSink::new(&shared);
-        let mut grow = GrowContext::<K> {
+        let mut grow = GrowContext {
             db,
             cfg,
             index: &index,
@@ -280,7 +238,6 @@ fn mine_internal_k<K: BoundaryKernel>(
             sink: &mut task_sink,
             scratch: GrowScratch::new(),
             db_has_clipped,
-            kernel: PhantomData,
         };
         grow.grow_node(node, 3);
         task_sink.flush();

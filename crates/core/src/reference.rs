@@ -47,8 +47,10 @@ pub fn mine_reference_filtered(
     cfg: &MinerConfig,
     corr: Option<&CorrelationFilter<'_>>,
 ) -> MiningResult {
-    // Monomorphization seam: fix the boundary kernel once per run (the
-    // same dispatch point discipline as `parallel::mine_internal`).
+    // Monomorphization seam: fix the boundary kernel once per run. The
+    // oracle reads instances through `K` rather than the index's
+    // policy-resolved columns, so it stays independent of the miners'
+    // policy resolution.
     struct Run<'a, 'c> {
         db: &'a SequenceDatabase,
         cfg: &'a MinerConfig,

@@ -332,3 +332,166 @@ fn parallel_matches_sequential() {
     let parallel = mine_exact_parallel(&data.seq, &cfg, 4);
     assert_same_patterns(&sequential, &parallel, "structured parallel");
 }
+
+/// Pattern label → (support, confidence, clipped occurrences): event ids
+/// differ between a sharded plan and the unsharded conversion, labels
+/// do not.
+fn labelled(
+    result: &MiningResult,
+    reg: &ftpm_events::EventRegistry,
+) -> HashMap<String, (usize, f64, usize)> {
+    result
+        .patterns
+        .iter()
+        .map(|p| {
+            (
+                p.pattern.display(reg).to_string(),
+                (p.support, p.confidence, p.clipped_occurrences),
+            )
+        })
+        .collect()
+}
+
+fn assert_same_labelled(
+    oracle: &HashMap<String, (usize, f64, usize)>,
+    other: &HashMap<String, (usize, f64, usize)>,
+    context: &str,
+) {
+    for (label, (supp, conf, clipped)) in oracle {
+        let Some((s, c, cl)) = other.get(label) else {
+            panic!("{context}: lost {label}");
+        };
+        assert_eq!(supp, s, "{context}: support mismatch on {label}");
+        assert!(
+            (conf - c).abs() < 1e-9,
+            "{context}: confidence mismatch on {label}"
+        );
+        assert_eq!(clipped, cl, "{context}: clipped count mismatch on {label}");
+    }
+    assert_eq!(oracle.len(), other.len(), "{context}: fabricated patterns");
+}
+
+/// xorshift64 stream for the tie generators.
+fn rng(seed: u64) -> impl FnMut(u64) -> u64 {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    move |n| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    }
+}
+
+/// Sequences whose instances start on a coarse grid (so starts tie, and
+/// often whole `(start, end)` keys tie across events), with exact
+/// duplicates and boundary-clipped extents mixed in.
+fn tied_database(seed: u64) -> ftpm_events::SequenceDatabase {
+    use ftpm_events::{EventId, EventInstance, EventRegistry, Interval, TemporalSequence};
+    use ftpm_timeseries::{SymbolId, VariableId};
+    let mut next = rng(seed);
+    let mut reg = EventRegistry::new();
+    for v in 0..3 {
+        reg.intern(VariableId(v), SymbolId(1), || format!("E{v}"));
+    }
+    let sequences = (0..5)
+        .map(|_| {
+            let mut insts = Vec::new();
+            for _ in 0..1 + next(6) {
+                let start = 4 * next(3) as i64;
+                let interval = Interval::new(start, start + 4 * (1 + next(2)) as i64);
+                let extent = match next(4) {
+                    0 => Interval::new(interval.start - 4, interval.end),
+                    1 => Interval::new(interval.start, interval.end + 4),
+                    _ => interval,
+                };
+                let inst = EventInstance::with_extent(EventId(next(3) as u32), interval, extent);
+                insts.push(inst);
+                if next(3) == 0 {
+                    insts.push(inst);
+                }
+            }
+            TemporalSequence::new(insts)
+        })
+        .collect();
+    ftpm_events::SequenceDatabase::new(reg, sequences)
+}
+
+/// On/off series whose runs switch only on even steps, plus one exact
+/// copy of the first series: starts tie within and across series, and
+/// the copy ties its source on the whole key.
+fn tied_syb(seed: u64) -> ftpm_timeseries::SymbolicDatabase {
+    use ftpm_timeseries::{Alphabet, SymbolId, SymbolicDatabase, SymbolicSeries};
+    let mut next = rng(seed);
+    let n_steps = 32;
+    let mut db = SymbolicDatabase::new(0, 5, n_steps);
+    let mut first = Vec::new();
+    for v in 0..3 {
+        let mut symbols = Vec::with_capacity(n_steps);
+        let mut sym = SymbolId(next(2) as u16);
+        while symbols.len() < n_steps {
+            let run = 2 * (1 + next(3) as usize);
+            symbols.extend(std::iter::repeat_n(sym, run.min(n_steps - symbols.len())));
+            sym = SymbolId(1 - sym.0);
+        }
+        if v == 0 {
+            first = symbols.clone();
+        }
+        db.push(SymbolicSeries::new(
+            format!("V{v}"),
+            Alphabet::on_off(),
+            symbols,
+        ));
+    }
+    db.push(SymbolicSeries::new("Copy", Alphabet::on_off(), first));
+    db
+}
+
+proptest::proptest! {
+    /// Ties are where a chronological-rank bug would hide: every miner
+    /// binds an occurrence only in strictly increasing key order, so tied
+    /// keys must never pair with each other and the tie-break must agree
+    /// everywhere. On tied and duplicated instances the sequential miner
+    /// and the 2-thread parallel miner equal the brute-force reference
+    /// under every boundary policy; on tied symbolic data, so does the
+    /// 2-shard candidate exchange.
+    #[test]
+    fn miners_match_reference_on_tied_and_duplicated_instances(seed in 0u64..u64::MAX) {
+        use ftpm_core::{mine_exact_parallel, ShardPlanner};
+        use ftpm_events::{to_sequence_database, BoundaryPolicy, SplitConfig};
+        let db = tied_database(seed);
+        let syb = tied_syb(seed);
+        let split = SplitConfig::new(40, 20);
+        let seq = to_sequence_database(&syb, split);
+        for policy in [
+            BoundaryPolicy::Clip,
+            BoundaryPolicy::TrueExtent,
+            BoundaryPolicy::Discard,
+        ] {
+            let cfg = MinerConfig::new(0.3, 0.3)
+                .with_max_events(3)
+                .with_relation(RelationConfig::new(0, 1, 20).with_boundary(policy));
+            let oracle = labelled(&mine_reference(&db, &cfg), db.registry());
+            for (name, result) in [
+                ("exact", mine_exact(&db, &cfg)),
+                ("parallel", mine_exact_parallel(&db, &cfg, 2)),
+            ] {
+                let context = format!("seed={seed} policy={policy} {name}");
+                assert_same_labelled(&oracle, &labelled(&result, db.registry()), &context);
+            }
+
+            let oracle = labelled(&mine_reference(&seq, &cfg), seq.registry());
+            let plan = ShardPlanner::new(2)
+                .plan(&syb, split, cfg.relation.t_max)
+                .unwrap_or_else(|e| panic!("seed={seed}: plan failed: {e}"));
+            let (exchange, _) = plan.mine_exchange(&cfg, 2);
+            for (name, result, reg) in [
+                ("exact", mine_exact(&seq, &cfg), seq.registry()),
+                ("parallel", mine_exact_parallel(&seq, &cfg, 2), seq.registry()),
+                ("exchange", exchange, plan.registry()),
+            ] {
+                let context = format!("seed={seed} policy={policy} symbolic {name}");
+                assert_same_labelled(&oracle, &labelled(&result, reg), &context);
+            }
+        }
+    }
+}

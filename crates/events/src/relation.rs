@@ -101,10 +101,12 @@ impl BoundaryPolicy {
     /// compile-time [`BoundaryKernel`] type and runs `visitor` under it.
     ///
     /// This is the *only* place a policy value is turned into a kernel
-    /// type — miners call it once per run at their entry point, and
-    /// every per-instance decision below that point compiles to the
-    /// straight-line code of the chosen kernel instead of re-matching
-    /// on the policy inside the hot verification loops.
+    /// type — the brute-force reference miner and the baselines call it
+    /// once per run at their entry point, and every per-instance
+    /// decision below that point compiles to the straight-line code of
+    /// the chosen kernel instead of re-matching on the policy inside
+    /// their loops. (The HTPGM miners need no kernel: their index
+    /// resolves each instance's interval and order once, at build.)
     pub fn dispatch<V: BoundaryVisit>(self, visitor: V) -> V::Out {
         match self {
             BoundaryPolicy::Clip => visitor.visit::<ClipKernel>(),
@@ -125,9 +127,10 @@ pub trait BoundaryVisit {
 }
 
 /// Compile-time form of one [`BoundaryPolicy`] variant: the two
-/// per-instance decisions of the verification hot loops — which interval
-/// an instance exposes and how instances are ordered — as associated
-/// functions that monomorphize to branch-free straight-line code.
+/// per-instance decisions of an instance-level mining loop — which
+/// interval an instance exposes and how instances are ordered — as
+/// associated functions that monomorphize to branch-free straight-line
+/// code.
 ///
 /// The zero-sized kernel types ([`ClipKernel`], [`TrueExtentKernel`],
 /// [`DiscardKernel`]) mirror [`RelationConfig::effective_interval`] and
